@@ -1,0 +1,211 @@
+"""Extremal construction generators and the threshold-constant tables.
+
+Irrational bounds like 2^(-1/l) are kept as exact root values and only
+ever compared through integer powers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from math import ceil, comb
+from typing import Optional
+
+from .hypergraph import Hypergraph, HypergraphError, degree_stats, gen_random
+
+
+@dataclass(frozen=True)
+class RootValue:
+    """The exact real number base**(1 / root) for a positive rational base."""
+
+    base: Fraction
+    root: int
+
+    def __float__(self) -> float:
+        return float(self.base) ** (1.0 / self.root)
+
+    def _cmp_fraction(self, other: Fraction) -> int:
+        if other < 0:
+            return 1
+        lhs, rhs = self.base, Fraction(other) ** self.root
+        return (lhs > rhs) - (lhs < rhs)
+
+    def compare(self, other) -> int:
+        if isinstance(other, RootValue):
+            lhs = self.base ** other.root
+            rhs = other.base ** self.root
+            return (lhs > rhs) - (lhs < rhs)
+        return self._cmp_fraction(Fraction(other))
+
+    def __lt__(self, other):
+        return self.compare(other) < 0
+
+    def __le__(self, other):
+        return self.compare(other) <= 0
+
+    def __gt__(self, other):
+        return self.compare(other) > 0
+
+    def __ge__(self, other):
+        return self.compare(other) >= 0
+
+
+def _forbidden_level(k: int, ell: int) -> int:
+    """Smallest j with (j-1)/k < ceil(l/2)/(l+1) < (j+1)/k."""
+    x = Fraction(ceil(Fraction(ell, 2)), ell + 1)
+    for j in range(0, k + 1):
+        if Fraction(j - 1, k) < x < Fraction(j + 1, k):
+            return j
+    raise HypergraphError("no admissible forbidden intersection level")
+
+
+def gen_space_barrier(n: int, k: int, d: int, parity: bool = False) -> Hypergraph:
+    """The space-barrier construction: forbid one |S intersect X| value.
+
+    X is the first floor(ceil(l/2) n/(l+1)) vertices (l = k-d) and the
+    edges are the k-sets whose intersection with X avoids the forbidden
+    size j.  For d = k-1 pass parity=True to get the classical parity
+    construction instead (even |S intersect X| with |X| odd; the counting
+    obstruction needs odd k).
+    """
+    if n < 2 * k:
+        raise HypergraphError("need n >= 2k")
+    if parity:
+        if d != k - 1:
+            raise HypergraphError("the parity variant is the d = k-1 construction")
+        xsize = n // 2 if (n // 2) % 2 == 1 else n // 2 + 1
+        x = set(range(xsize))
+        edges = tuple(
+            e for e in combinations(range(n), k) if len(x & set(e)) % 2 == 0
+        )
+        return Hypergraph(n, k, edges)
+    if not (1 <= d <= k - 2):
+        raise HypergraphError("need 1 <= d <= k-2 (or the parity flag)")
+    ell = k - d
+    xsize = (ceil(Fraction(ell, 2)) * n) // (ell + 1)
+    j = _forbidden_level(k, ell)
+    x = set(range(xsize))
+    edges = tuple(
+        e for e in combinations(range(n), k) if len(x & set(e)) != j
+    )
+    return Hypergraph(n, k, edges)
+
+
+def space_barrier_min_degree(n: int, k: int, d: int) -> Fraction:
+    """Closed-form minimum relative d-degree of gen_space_barrier(n,k,d).
+
+    A d-set meeting X in i vertices extends by m further X-vertices and
+    l-m outside ones; summing over the allowed m gives its degree.
+    """
+    if not (1 <= d <= k - 2) or n < 2 * k:
+        raise HypergraphError("parameters outside the construction's range")
+    ell = k - d
+    xsize = (ceil(Fraction(ell, 2)) * n) // (ell + 1)
+    j = _forbidden_level(k, ell)
+    out = n - xsize
+    best: Optional[int] = None
+    for i in range(max(0, d - out), min(d, xsize) + 1):
+        deg = 0
+        for m in range(ell + 1):
+            if i + m == j:
+                continue
+            deg += comb(xsize - i, m) * comb(out - (d - i), ell - m)
+        if best is None or deg < best:
+            best = deg
+    assert best is not None
+    return Fraction(best, comb(n - d, k - d))
+
+
+def construction_limit(k: int, d: int) -> Fraction:
+    """Exact n -> infinity limit of the construction's min relative degree.
+
+    In the limit the degree of a d-set meeting X in i vertices tends to
+    1 - C(l, j-i) x^(j-i) (1-x)^(l-j+i) with x = ceil(l/2)/(l+1); the
+    minimum over i is a maximum of binomial terms.
+    """
+    ell = k - d
+    x = Fraction(ceil(Fraction(ell, 2)), ell + 1)
+    j = _forbidden_level(k, ell)
+    worst = Fraction(0)
+    for m in range(max(0, j - d), min(j, ell) + 1):
+        term = comb(ell, m) * x**m * (1 - x) ** (ell - m)
+        if term > worst:
+            worst = term
+    return 1 - worst
+
+
+_LOWER_TABLE = {
+    1: Fraction(1, 2),
+    2: Fraction(5, 9),
+    3: Fraction(5, 8),
+    4: Fraction(408, 625),
+}
+
+_KNOWN_EXACT = {1: Fraction(1, 2), 2: Fraction(5, 9)}
+
+
+@dataclass(frozen=True)
+class ThresholdTable:
+    k: int
+    d: int
+    ell: int
+    upper_general: RootValue
+    upper_linear: Fraction
+    lower_construction: Fraction
+    known_exact: Optional[Fraction]
+
+
+def threshold_formulas(k: int, d: int) -> ThresholdTable:
+    """Exact bound table for the degree threshold at (k, d).
+
+    Lower bounds for l = k-d in 1..4 come from the fixed constant table;
+    larger l uses the construction's exact limit.  known_exact is set
+    only where equality is established (l = 1 and l = 2).
+    """
+    if not (1 <= d <= k - 1):
+        raise HypergraphError("need 1 <= d <= k-1")
+    ell = k - d
+    upper_general = RootValue(Fraction(1, 2), ell)
+    upper_linear = 1 - Fraction(1, 2 * ell)
+    lower = _LOWER_TABLE.get(ell, construction_limit(k, d) if ell >= 2 else None)
+    known = _KNOWN_EXACT.get(ell)
+    table = ThresholdTable(k, d, ell, upper_general, upper_linear, lower, known)
+    checks = [lower <= upper_linear, upper_general >= lower]
+    if known is not None:
+        checks += [lower <= known, upper_general >= known, known <= upper_linear]
+    if not all(checks):
+        raise HypergraphError(f"threshold table ordering violated at (k={k}, d={d})")
+    return table
+
+
+def gen_random_min_degree(n: int, k: int, d: int, delta: Fraction, seed: int) -> Hypergraph:
+    """Binomial graph at density delta repaired up to min d-degree delta.
+
+    While some d-set falls short, the lexicographically least missing
+    edge through the worst such set is added; the output's minimum
+    relative d-degree >= delta is re-certified before returning.  The
+    distribution is NOT uniform over graphs with that degree.
+    """
+    delta = Fraction(delta)
+    if not (0 <= delta <= 1):
+        raise HypergraphError("delta must lie in [0,1]")
+    h = gen_random(n, k, delta, seed)
+    if delta == 0:
+        return h
+    edges = set(h.edges)
+    while True:
+        g = Hypergraph(n, k, tuple(sorted(edges)))
+        rep = degree_stats(g, d)
+        if rep.min_relative_degree >= delta:
+            assert degree_stats(g, d).min_relative_degree >= delta
+            return g
+        worst = set(rep.argmin_set)
+        added = False
+        for e in combinations(range(n), k):
+            if worst <= set(e) and e not in edges:
+                edges.add(e)
+                added = True
+                break
+        if not added:
+            raise HypergraphError("no missing edge through the worst set")

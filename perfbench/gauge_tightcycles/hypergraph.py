@@ -1,0 +1,258 @@
+"""Exact k-uniform hypergraphs over dense integer vertex ids.
+
+All degree and density computations are exact rationals; nothing in this
+module (or its consumers) compares thresholds through floats.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+from typing import Iterable, Sequence
+
+
+class HypergraphError(ValueError):
+    """Raised for malformed hypergraph input (bad vertices, bad edge sizes)."""
+
+
+@dataclass(frozen=True)
+class Hypergraph:
+    """A k-uniform hypergraph on vertex set {0..n-1}.
+
+    Edges are stored as strictly increasing k-tuples, lexicographically
+    sorted, so equal hypergraphs compare and serialize identically.
+    """
+
+    n: int
+    k: int
+    edges: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for e in self.edges:
+            if len(e) != self.k:
+                raise HypergraphError(f"edge {e} has size {len(e)}, expected {self.k}")
+            if any(v < 0 or v >= self.n for v in e):
+                raise HypergraphError(f"edge {e} has a vertex out of range [0, {self.n})")
+            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+                raise HypergraphError(f"edge {e} is not strictly increasing")
+        if len(set(self.edges)) != len(self.edges):
+            raise HypergraphError("duplicate edges")
+        if list(self.edges) != sorted(self.edges):
+            object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+
+    @property
+    def edge_set(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(e) for e in self.edges)
+
+    def has_edge(self, vertices: Iterable[int]) -> bool:
+        return tuple(sorted(vertices)) in self._edge_lookup
+
+    @property
+    def _edge_lookup(self) -> frozenset[tuple[int, ...]]:
+        cached = self.__dict__.get("_edge_lookup_cache")
+        if cached is None:
+            cached = frozenset(self.edges)
+            self.__dict__["_edge_lookup_cache"] = cached
+        return cached
+
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+    def support(self) -> tuple[int, ...]:
+        """Non-isolated vertices, ascending."""
+        seen: set[int] = set()
+        for e in self.edges:
+            seen.update(e)
+        return tuple(sorted(seen))
+
+    def degree(self, subset: Iterable[int]) -> int:
+        s = frozenset(subset)
+        return sum(1 for e in self.edges if s.issubset(e))
+
+
+@dataclass(frozen=True)
+class DegreeReport:
+    """Minimum d-degree statistics of a hypergraph, all exact."""
+
+    d: int
+    min_degree: int
+    min_relative_degree: Fraction
+    argmin_set: tuple[int, ...]
+    per_level_shadow_densities: dict[int, Fraction] = field(compare=False)
+
+
+def build_hypergraph(n: int, k: int, edges: Sequence[Sequence[int]]) -> tuple[Hypergraph, int]:
+    """Canonicalize raw edge input.
+
+    Returns the hypergraph plus a warning count of silently deduplicated
+    edges.  Out-of-range vertices, wrong-size edges and repeated vertices
+    within an edge raise HypergraphError.
+    """
+    if n < 0 or k < 0:
+        raise HypergraphError("n and k must be non-negative")
+    canon: set[tuple[int, ...]] = set()
+    dupes = 0
+    for raw in edges:
+        if len(raw) != k:
+            raise HypergraphError(f"edge {list(raw)} has size {len(raw)}, expected {k}")
+        if len(set(raw)) != len(raw):
+            raise HypergraphError(f"edge {list(raw)} repeats a vertex")
+        for v in raw:
+            if not (0 <= v < n):
+                raise HypergraphError(f"vertex {v} out of range [0, {n})")
+        e = tuple(sorted(raw))
+        if e in canon:
+            dupes += 1
+        else:
+            canon.add(e)
+    return Hypergraph(n, k, tuple(sorted(canon))), dupes
+
+
+def shadow(h: Hypergraph, j: int) -> Hypergraph:
+    """The j-th shadow: all j-sets contained in some edge."""
+    if not (1 <= j <= h.k):
+        raise HypergraphError(f"shadow level {j} out of range 1..{h.k}")
+    out: set[tuple[int, ...]] = set()
+    for e in h.edges:
+        out.update(combinations(e, j))
+    return Hypergraph(h.n, j, tuple(sorted(out)))
+
+
+def shadow_edge_count(h: Hypergraph, j: int) -> int:
+    """e_j(H) with the convention e_0 = 1 for nonempty H, 0 otherwise."""
+    if j == 0:
+        return 1 if h.edges else 0
+    return shadow(h, j).num_edges()
+
+
+def link(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
+    """Link graph L_H(S): edge remainders of edges containing S.
+
+    The result lives on the full vertex set {0..n-1}; vertices of S are
+    isolated in it.
+    """
+    sset = frozenset(s)
+    d = len(sset)
+    if not (1 <= d <= h.k - 1):
+        raise HypergraphError(f"link set size {d} out of range 1..{h.k - 1}")
+    if any(v < 0 or v >= h.n for v in sset):
+        raise HypergraphError("link set not within the vertex range")
+    out = []
+    for e in h.edges:
+        if sset.issubset(e):
+            out.append(tuple(v for v in e if v not in sset))
+    return Hypergraph(h.n, h.k - d, tuple(sorted(out)))
+
+
+def degree_stats(h: Hypergraph, d: int, shadow_only: bool = False) -> DegreeReport:
+    """Exact minimum d-degree over all d-subsets (or only shadow d-edges).
+
+    ``shadow_only`` restricts the minimization to edges of the d-th shadow,
+    which is the quantification used by perturbed-degree checks.
+    """
+    if not (1 <= d <= h.k - 1):
+        raise HypergraphError(f"degree level {d} out of range 1..{h.k - 1}")
+    if h.n <= d:
+        raise HypergraphError(f"need n > d, got n={h.n}, d={d}")
+    counts: dict[tuple[int, ...], int] = {}
+    for e in h.edges:
+        for s in combinations(e, d):
+            counts[s] = counts.get(s, 0) + 1
+    denom = comb(h.n - d, h.k - d)
+    if shadow_only:
+        candidates: Iterable[tuple[int, ...]] = sorted(counts)
+        if not counts:
+            raise HypergraphError("empty shadow: no d-edges to minimize over")
+    else:
+        candidates = combinations(range(h.n), d)
+    best_set: tuple[int, ...] | None = None
+    best = None
+    for s in candidates:
+        deg = counts.get(s, 0)
+        if best is None or deg < best:
+            best, best_set = deg, s
+            if best == 0 and not shadow_only:
+                break
+    assert best is not None and best_set is not None
+    densities = {
+        j: Fraction(shadow_edge_count(h, j), comb(h.n, j)) for j in range(1, d + 1)
+    }
+    return DegreeReport(
+        d=d,
+        min_degree=best,
+        min_relative_degree=Fraction(best, denom),
+        argmin_set=best_set,
+        per_level_shadow_densities=densities,
+    )
+
+
+def edge_density(h: Hypergraph) -> Fraction:
+    if h.n < h.k:
+        raise HypergraphError("edge density needs n >= k")
+    return Fraction(h.num_edges(), comb(h.n, h.k))
+
+
+def complement(h: Hypergraph) -> Hypergraph:
+    present = h._edge_lookup
+    out = tuple(e for e in combinations(range(h.n), h.k) if e not in present)
+    return Hypergraph(h.n, h.k, out)
+
+
+def relative_degree(h: Hypergraph, subset: Iterable[int]) -> Fraction:
+    s = tuple(sorted(set(subset)))
+    d = len(s)
+    if d >= h.k or h.n <= d:
+        raise HypergraphError("relative degree needs |S| < k and n > |S|")
+    return Fraction(h.degree(s), comb(h.n - d, h.k - d))
+
+
+def restrict(h: Hypergraph, edges: Iterable[Sequence[int]]) -> Hypergraph:
+    """Subgraph of h induced by the given edge subset (validated)."""
+    sub = tuple(sorted(tuple(sorted(e)) for e in edges))
+    for e in sub:
+        if e not in h._edge_lookup:
+            raise HypergraphError(f"{e} is not an edge of the host")
+    return Hypergraph(h.n, h.k, tuple(sorted(set(sub))))
+
+
+def remove_edges(h: Hypergraph, edges: Iterable[Sequence[int]]) -> Hypergraph:
+    gone = {tuple(sorted(e)) for e in edges}
+    return Hypergraph(h.n, h.k, tuple(e for e in h.edges if e not in gone))
+
+
+def gen_complete(n: int, k: int) -> Hypergraph:
+    if k > n:
+        return Hypergraph(n, k, ())
+    return Hypergraph(n, k, tuple(combinations(range(n), k)))
+
+
+def gen_tight_cycle(n: int, k: int) -> Hypergraph:
+    """The tight cycle C_n^(k): edges {i, i+1, ..., i+k-1} mod n."""
+    if n <= k:
+        raise HypergraphError("tight cycle needs n >= k+1")
+    out = {tuple(sorted((i + j) % n for j in range(k))) for i in range(n)}
+    return Hypergraph(n, k, tuple(sorted(out)))
+
+
+def _edge_coin(seed: int, edge: tuple[int, ...]) -> Fraction:
+    """Deterministic uniform value in [0,1) keyed by (seed, edge).
+
+    Counter-based so membership does not depend on iteration order.
+    """
+    key = (str(seed) + ":" + ",".join(map(str, edge))).encode()
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return Fraction(int.from_bytes(digest, "big"), 1 << 64)
+
+
+def gen_random(n: int, k: int, p, seed: int) -> Hypergraph:
+    """Binomial random k-graph: each k-set kept independently w.p. p."""
+    prob = Fraction(p)
+    if not (0 <= prob <= 1):
+        raise HypergraphError("probability out of [0,1]")
+    out = tuple(
+        e for e in combinations(range(n), k) if _edge_coin(seed, e) < prob
+    )
+    return Hypergraph(n, k, out)

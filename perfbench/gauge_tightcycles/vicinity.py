@@ -1,0 +1,407 @@
+"""Vicinities, switchers, arcs, and the V/F/P verifier suites.
+
+A vicinity maps each d-edge S of the d-th shadow of a host R to a chosen
+subgraph C_S of the link L_R(S); the generated graph lifts these choices
+back to k-edges.  The verifiers return one pass/fail entry per property,
+each failure carrying a concrete witness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+from typing import Optional
+
+from .hypergraph import Hypergraph, HypergraphError, link, shadow
+from .matching import is_robustly_matchable, lp_matching, uniform_weighting
+from .walks import component_subgraphs, find_closed_walk_residue, tight_components
+
+
+@dataclass(frozen=True)
+class Vicinity:
+    host: Hypergraph
+    d: int
+    entries: dict[tuple[int, ...], Hypergraph]
+
+    def __post_init__(self):
+        shadow_edges = set(shadow(self.host, self.d).edges)
+        if set(self.entries) != shadow_edges:
+            raise HypergraphError("vicinity keys must be exactly the d-shadow edges")
+        for s, c_s in self.entries.items():
+            sset = set(s)
+            for a in c_s.edges:
+                if sset & set(a):
+                    raise HypergraphError(f"link edge {a} meets its base {s}")
+                if not self.host.has_edge(sset | set(a)):
+                    raise HypergraphError(f"{a} + {s} is not an edge of the host")
+
+
+@dataclass(frozen=True)
+class Switcher:
+    edge: tuple[int, ...]
+    central: int
+    witnesses: dict[int, int]
+
+
+@dataclass(frozen=True)
+class Arc:
+    tuple: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    passed: bool
+    witness: object = None
+    value: object = None
+
+
+def generate_graph(v: Vicinity) -> Hypergraph:
+    """The k-graph with edge set  union over S of {A + S : A in C_S}."""
+    out = set()
+    for s, c_s in v.entries.items():
+        for a in c_s.edges:
+            out.add(tuple(sorted(set(s) | set(a))))
+    return Hypergraph(v.host.n, v.host.k, tuple(sorted(out)))
+
+
+def select_component(g: Hypergraph, strategy: str = "max-ratio") -> Optional[Hypergraph]:
+    """Choose one tight component of g per the given strategy.
+
+    max-ratio maximizes e(C)/e_{l-1}(C) (exact cross-multiplied
+    rationals) and is certified to beat the whole graph's ratio;
+    max-edges maximizes the edge count.  Ties go to the least component
+    id; None for an empty graph.
+    """
+    if strategy not in ("max-ratio", "max-edges"):
+        raise HypergraphError(f"unknown strategy {strategy!r}")
+    comps = component_subgraphs(g)
+    if not comps:
+        return None
+    part = tight_components(g)
+    if strategy == "max-edges":
+        best = max(range(len(comps)), key=lambda i: (part.summaries[i].num_edges, -i))
+    else:
+        best = max(
+            range(len(comps)),
+            key=lambda i: (
+                Fraction(part.summaries[i].num_edges, max(part.summaries[i].shadow_edges, 1)),
+                -i,
+            ),
+        )
+        chosen = part.summaries[best]
+        e_l = g.num_edges()
+        e_prev = _lower_shadow_count(g)
+        if chosen.num_edges * e_prev < e_l * chosen.shadow_edges:
+            raise HypergraphError("max-ratio certificate failed")
+    return comps[best]
+
+
+def select_vicinity(r: Hypergraph, d: int, strategy: str = "max-ratio") -> Vicinity:
+    """Pick one tight component of each link as C_S; empty links yield
+    empty (flagged) C_S entries."""
+    if not (1 <= d <= r.k - 1):
+        raise HypergraphError("d out of range")
+    entries: dict[tuple[int, ...], Hypergraph] = {}
+    for s in shadow(r, d).edges:
+        comp = select_component(link(r, s), strategy)
+        entries[s] = comp if comp is not None else Hypergraph(r.n, r.k - d, ())
+    return Vicinity(r, d, entries)
+
+
+def _lower_shadow_count(g: Hypergraph) -> int:
+    if g.k >= 2:
+        return shadow(g, g.k - 1).num_edges()
+    return 1 if g.edges else 0
+
+
+def verify_switcher(c: Hypergraph, sw: Switcher) -> bool:
+    a = tuple(sorted(sw.edge))
+    if not c.has_edge(a) or sw.central not in a:
+        return False
+    if c.k == 1:
+        return True
+    aset = set(a)
+    for bvert in a:
+        w = sw.witnesses.get(bvert)
+        if w is None or w in aset:
+            return False
+        if not c.has_edge((aset | {w}) - {sw.central}):
+            return False
+        if not c.has_edge((aset | {w}) - {bvert}):
+            return False
+    return True
+
+
+def find_switcher(c: Hypergraph) -> Optional[Switcher]:
+    """First verified switcher, visiting edges in increasing f(A) order.
+
+    f(A) = sum over a in A of 1/deg(A - a) (exact; zero degrees sort
+    last), the search-order heuristic for edges likely to admit one.  A
+    None return certifies that every (edge, center) pair fails.
+    """
+    ell = c.k
+    if ell == 1:
+        if c.edges:
+            e = c.edges[0]
+            return Switcher(e, e[0], {})
+        return None
+
+    def f_key(a):
+        total = Fraction(0)
+        for v in a:
+            d = c.degree(set(a) - {v})
+            if d == 0:
+                return (1, Fraction(0), a)
+            total += Fraction(1, d)
+        return (0, total, a)
+
+    for a in sorted(c.edges, key=f_key):
+        aset = set(a)
+        for central in a:
+            witnesses: dict[int, int] = {}
+            ok = True
+            for bvert in a:
+                found = None
+                for cand in range(c.n):
+                    if cand in aset:
+                        continue
+                    if c.has_edge((aset | {cand}) - {central}) and c.has_edge(
+                        (aset | {cand}) - {bvert}
+                    ):
+                        found = cand
+                        break
+                if found is None:
+                    ok = False
+                    break
+                witnesses[bvert] = found
+            if ok:
+                sw = Switcher(a, central, witnesses)
+                assert verify_switcher(c, sw)
+                return sw
+    return None
+
+
+def verify_arc(v: Vicinity, arc: Arc) -> bool:
+    t = arc.tuple
+    k, d = v.host.k, v.d
+    if len(t) != k + 1 or len(set(t)) != k + 1:
+        return False
+    s1 = tuple(sorted(t[:d]))
+    a1 = tuple(sorted(t[d:k]))
+    s2 = tuple(sorted(t[1:d + 1]))
+    a2 = tuple(sorted(t[d + 1:k + 1]))
+    return (
+        s1 in v.entries
+        and v.entries[s1].has_edge(a1)
+        and s2 in v.entries
+        and v.entries[s2].has_edge(a2)
+    )
+
+
+def find_arc(v: Vicinity) -> Optional[Arc]:
+    """Greedy-ordered exhaustive arc search; None certifies none exists.
+
+    Candidates for the pivot vertex (position d+1) are tried in order of
+    decreasing degree within C_S, the greedy choice suggested by the
+    existence proof; the search is exhaustive regardless.
+    """
+    k, d = v.host.k, v.d
+    for s in sorted(v.entries):
+        c_s = v.entries[s]
+        for v1 in s:
+            rest = tuple(x for x in s if x != v1)
+            for a in c_s.edges:
+                pivots = sorted(a, key=lambda x: (-c_s.degree({x}), x))
+                for pivot in pivots:
+                    s2 = tuple(sorted(rest + (pivot,)))
+                    c_s2 = v.entries.get(s2)
+                    if c_s2 is None:
+                        continue
+                    amid = tuple(x for x in a if x != pivot)
+                    forbidden = set(s) | set(a)
+                    for tail in range(v.host.n):
+                        if tail in forbidden:
+                            continue
+                        if c_s2.has_edge(amid + (tail,)):
+                            arc = Arc((v1,) + rest + (pivot,) + amid + (tail,))
+                            assert verify_arc(v, arc)
+                            return arc
+    return None
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    checks: dict[str, CheckResult] = field(compare=False)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks.values())
+
+
+def verify_hamilton_vicinity(
+    v: Vicinity,
+    gamma: Fraction,
+    delta: Fraction,
+    adjacent_pairs_only: bool = False,
+) -> PropertyReport:
+    """V1 connectivity, V2 pairwise intersection, V3 switchers + arc,
+    V4 matching density, V5 edge density — all exact."""
+    gamma, delta = Fraction(gamma), Fraction(delta)
+    if not (0 < gamma < 1 and 0 < delta < 1):
+        raise HypergraphError("gamma, delta must lie in (0,1)")
+    host, d, k = v.host, v.d, v.host.k
+    checks: dict[str, CheckResult] = {}
+
+    v1_witness = None
+    for s in sorted(v.entries):
+        c_s = v.entries[s]
+        if not c_s.edges or tight_components(c_s).num_components != 1:
+            v1_witness = s
+            break
+    checks["V1"] = CheckResult(v1_witness is None, v1_witness)
+
+    v2_witness = None
+    keys = sorted(v.entries)
+    for i, s in enumerate(keys):
+        for s2 in keys[i + 1:]:
+            if adjacent_pairs_only and len(set(s) & set(s2)) != d - 1:
+                continue
+            if not (v.entries[s]._edge_lookup & v.entries[s2]._edge_lookup):
+                v2_witness = (s, s2)
+                break
+        if v2_witness:
+            break
+    checks["V2"] = CheckResult(v2_witness is None, v2_witness)
+
+    v3_witness = None
+    switchers = {}
+    for s in keys:
+        sw = find_switcher(v.entries[s])
+        if sw is None:
+            v3_witness = ("no-switcher", s)
+            break
+        switchers[s] = sw
+    arc = None
+    if v3_witness is None:
+        arc = find_arc(v)
+        if arc is None:
+            v3_witness = ("no-arc",)
+    checks["V3"] = CheckResult(v3_witness is None, v3_witness, (switchers, arc))
+
+    v4_target = Fraction(1, k) + gamma
+    v4_witness, v4_min = None, None
+    for s in keys:
+        c_s = v.entries[s]
+        val, _, _ = lp_matching(c_s, uniform_weighting(c_s))
+        density = val / host.n if host.n else Fraction(0)
+        if v4_min is None or density < v4_min:
+            v4_min = density
+        if density < v4_target:
+            v4_witness = (s, density)
+            break
+    checks["V4"] = CheckResult(v4_witness is None, v4_witness, v4_min)
+
+    v5_target = 1 - delta + gamma
+    denom = comb(host.n - d, k - d)
+    v5_witness, v5_min = None, None
+    for s in keys:
+        density = Fraction(v.entries[s].num_edges(), denom)
+        if v5_min is None or density < v5_min:
+            v5_min = density
+        if density < v5_target:
+            v5_witness = (s, density)
+            break
+    checks["V5"] = CheckResult(v5_witness is None, v5_witness, v5_min)
+    return PropertyReport(checks)
+
+
+def _support_min_vertex_reldeg(h: Hypergraph) -> Optional[Fraction]:
+    supp = h.support()
+    if len(supp) < h.k:
+        return None
+    denom = comb(len(supp) - 1, h.k - 1)
+    return min(Fraction(h.degree({v}), denom) for v in supp)
+
+
+def _relabel_to_support(h: Hypergraph) -> Hypergraph:
+    supp = h.support()
+    idx = {v: i for i, v in enumerate(supp)}
+    edges = tuple(tuple(sorted(idx[v] for v in e)) for e in h.edges)
+    return Hypergraph(len(supp), h.k, tuple(sorted(edges)))
+
+
+def verify_framework(
+    r: Hypergraph,
+    hsub: Hypergraph,
+    alpha: Fraction,
+    gamma: Fraction,
+    delta: Fraction,
+) -> PropertyReport:
+    """F1 spanning, F2 tight connectivity, F3 residue-1 closed walk,
+    F4 robust matchability, F5 vertex-degree outreach."""
+    alpha, gamma, delta = Fraction(alpha), Fraction(gamma), Fraction(delta)
+    for e in hsub.edges:
+        if not r.has_edge(e):
+            raise HypergraphError(f"{e} is not an edge of the host")
+    checks: dict[str, CheckResult] = {}
+    v_h = len(hsub.support())
+    v_r = len(r.support())
+    checks["F1"] = CheckResult(
+        Fraction(v_h) >= (1 - alpha) * v_r, None, Fraction(v_h)
+    )
+    ncomp = tight_components(hsub).num_components if hsub.edges else 0
+    checks["F2"] = CheckResult(ncomp == 1, None, ncomp)
+    walk = find_closed_walk_residue(hsub, 1) if hsub.edges else None
+    checks["F3"] = CheckResult(walk is not None, None, walk)
+    if hsub.edges and v_h <= 16:
+        rep = is_robustly_matchable(_relabel_to_support(hsub), gamma)
+        checks["F4"] = CheckResult(rep.robust, rep.failing_corner, rep)
+    else:
+        checks["F4"] = CheckResult(False, "empty-or-oversized", None)
+    mindeg = _support_min_vertex_reldeg(hsub)
+    target = 1 - delta + gamma
+    checks["F5"] = CheckResult(
+        mindeg is not None and mindeg >= target, None, mindeg
+    )
+    return PropertyReport(checks)
+
+
+def verify_perturbed_degree(
+    r: Hypergraph, d: int, alpha: Fraction, delta: Fraction
+) -> PropertyReport:
+    """P1 shadow-edge degrees, P2 complement-shadow density, P3
+    complement-shadow degrees, checked for every level j <= d."""
+    alpha, delta = Fraction(alpha), Fraction(delta)
+    if not (1 <= d <= r.k - 1):
+        raise HypergraphError("d out of range")
+    checks: dict[str, CheckResult] = {}
+    n, k = r.n, r.k
+    for j in range(1, d + 1):
+        sh = shadow(r, j)
+        denom = comb(n - j, k - j)
+        p1_witness = None
+        for y in sh.edges:
+            if Fraction(r.degree(y), denom) < delta:
+                p1_witness = y
+                break
+        checks[f"P1[j={j}]"] = CheckResult(p1_witness is None, p1_witness)
+
+        comp_count = comb(n, j) - sh.num_edges()
+        density = Fraction(comp_count, comb(n, j))
+        checks[f"P2[j={j}]"] = CheckResult(density <= alpha, None, density)
+
+        comp_edges = set(combinations(range(n), j)) - set(sh.edges)
+        p3_witness = None
+        if j == 1:
+            lower = [()]
+        else:
+            lower = list(shadow(r, j - 1).edges)
+        for y in lower:
+            deg = sum(1 for e in comp_edges if set(y).issubset(e))
+            if Fraction(deg, n - j + 1) >= alpha:
+                p3_witness = y
+                break
+        checks[f"P3[j={j}]"] = CheckResult(p3_witness is None, p3_witness)
+    return PropertyReport(checks)
