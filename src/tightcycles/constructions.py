@@ -12,7 +12,13 @@ from itertools import combinations
 from math import ceil, comb
 from typing import Optional
 
-from .hypergraph import Hypergraph, HypergraphError, degree_stats, gen_random
+from .hypergraph import (
+    Hypergraph,
+    HypergraphError,
+    check_degree_level,
+    degree_stats,
+    gen_random,
+)
 
 
 @dataclass(frozen=True)
@@ -182,10 +188,14 @@ def threshold_formulas(k: int, d: int) -> ThresholdTable:
 def gen_random_min_degree(n: int, k: int, d: int, delta: Fraction, seed: int) -> Hypergraph:
     """Binomial graph at density delta repaired up to min d-degree delta.
 
-    While some d-set falls short, the lexicographically least missing
-    edge through the worst such set is added; the output's minimum
-    relative d-degree >= delta is re-certified before returning.  The
-    distribution is NOT uniform over graphs with that degree.
+    The d-degree of every d-set is counted once from the binomial graph
+    and then kept up to date.  While the first d-set (in combinations
+    order) of least degree falls short, the lexicographically least
+    missing edge through it is added and the counts of the edge's C(k, d)
+    d-subsets are bumped.  The Hypergraph is built once at the end and
+    its minimum relative d-degree >= delta is re-certified by one
+    from-scratch degree_stats.  The distribution is NOT uniform over
+    graphs with that degree.
     """
     delta = Fraction(delta)
     if not (0 <= delta <= 1):
@@ -193,19 +203,32 @@ def gen_random_min_degree(n: int, k: int, d: int, delta: Fraction, seed: int) ->
     h = gen_random(n, k, delta, seed)
     if delta == 0:
         return h
+    check_degree_level(n, k, d)
+    # a d-set meets the floor when count / C(n-d, k-d) >= delta
+    floor_num, floor_den = delta.numerator * comb(n - d, k - d), delta.denominator
+    counts = dict.fromkeys(combinations(range(n), d), 0)
+    for e in h.edges:
+        for s in combinations(e, d):
+            counts[s] += 1
     edges = set(h.edges)
     while True:
-        g = Hypergraph(n, k, tuple(sorted(edges)))
-        rep = degree_stats(g, d)
-        if rep.min_relative_degree >= delta:
-            assert degree_stats(g, d).min_relative_degree >= delta
-            return g
-        worst = set(rep.argmin_set)
-        added = False
-        for e in combinations(range(n), k):
-            if worst <= set(e) and e not in edges:
-                edges.add(e)
-                added = True
+        worst = min(counts, key=counts.__getitem__)
+        if counts[worst] * floor_den >= floor_num:
+            break
+        # merging W into the (k-d)-sets of the other vertices keeps
+        # lexicographic order: both orders are decided by the least
+        # element of the symmetric difference, which avoids W
+        others = [v for v in range(n) if v not in worst]
+        for rest in combinations(others, k - d):
+            e = tuple(sorted(worst + rest))
+            if e not in edges:
                 break
-        if not added:
+        else:
             raise HypergraphError("no missing edge through the worst set")
+        edges.add(e)
+        for s in combinations(e, d):
+            counts[s] += 1
+    g = Hypergraph(n, k, tuple(sorted(edges)))
+    if degree_stats(g, d).min_relative_degree < delta:
+        raise HypergraphError("repaired graph fails its minimum-degree certificate")
+    return g

@@ -125,7 +125,9 @@ def shadow_edge_count(h: Hypergraph, j: int) -> int:
     """e_j(H) with the convention e_0 = 1 for nonempty H, 0 otherwise."""
     if j == 0:
         return 1 if h.edges else 0
-    return shadow(h, j).num_edges()
+    if not (1 <= j <= h.k):
+        raise HypergraphError(f"shadow level {j} out of range 1..{h.k}")
+    return len({s for e in h.edges for s in combinations(e, j)})
 
 
 def link(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
@@ -147,16 +149,21 @@ def link(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
     return Hypergraph(h.n, h.k - d, tuple(sorted(out)))
 
 
+def check_degree_level(n: int, k: int, d: int) -> None:
+    """Raise unless d-degrees of a k-graph on n vertices are defined."""
+    if not (1 <= d <= k - 1):
+        raise HypergraphError(f"degree level {d} out of range 1..{k - 1}")
+    if n <= d:
+        raise HypergraphError(f"need n > d, got n={n}, d={d}")
+
+
 def degree_stats(h: Hypergraph, d: int, shadow_only: bool = False) -> DegreeReport:
     """Exact minimum d-degree over all d-subsets (or only shadow d-edges).
 
     ``shadow_only`` restricts the minimization to edges of the d-th shadow,
     which is the quantification used by perturbed-degree checks.
     """
-    if not (1 <= d <= h.k - 1):
-        raise HypergraphError(f"degree level {d} out of range 1..{h.k - 1}")
-    if h.n <= d:
-        raise HypergraphError(f"need n > d, got n={h.n}, d={d}")
+    check_degree_level(h.n, h.k, d)
     counts: dict[tuple[int, ...], int] = {}
     for e in h.edges:
         for s in combinations(e, d):
@@ -237,22 +244,26 @@ def gen_tight_cycle(n: int, k: int) -> Hypergraph:
     return Hypergraph(n, k, tuple(sorted(out)))
 
 
-def _edge_coin(seed: int, edge: tuple[int, ...]) -> Fraction:
-    """Deterministic uniform value in [0,1) keyed by (seed, edge).
+def _edge_digest(seed: int, edge: tuple[int, ...]) -> int:
+    """Deterministic uniform 64-bit integer keyed by (seed, edge).
 
     Counter-based so membership does not depend on iteration order.
     """
     key = (str(seed) + ":" + ",".join(map(str, edge))).encode()
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return Fraction(int.from_bytes(digest, "big"), 1 << 64)
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
 def gen_random(n: int, k: int, p, seed: int) -> Hypergraph:
-    """Binomial random k-graph: each k-set kept independently w.p. p."""
+    """Binomial random k-graph: each k-set kept independently w.p. p.
+
+    A k-set is kept when its digest u satisfies u / 2^64 < p, decided
+    exactly in integers as u * den(p) < num(p) * 2^64.
+    """
     prob = Fraction(p)
     if not (0 <= prob <= 1):
         raise HypergraphError("probability out of [0,1]")
+    den, bound = prob.denominator, prob.numerator << 64
     out = tuple(
-        e for e in combinations(range(n), k) if _edge_coin(seed, e) < prob
+        e for e in combinations(range(n), k) if _edge_digest(seed, e) * den < bound
     )
     return Hypergraph(n, k, out)

@@ -51,7 +51,8 @@ class _Searcher:
         self.window_index: dict[frozenset, list[int]] = {}
         self.prefixes: set[frozenset] = set()
         for e in h.edges:
-            for r in range(1, h.k + 1):
+            # extend() only asks about prefixes of 2..k-1 vertices
+            for r in range(2, h.k):
                 for sub in combinations(e, r):
                     self.prefixes.add(frozenset(sub))
             for drop in range(h.k):

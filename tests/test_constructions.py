@@ -1,10 +1,14 @@
+import hashlib
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slow_min_degree
+from tightcycles import constructions
 from tightcycles.constructions import (
     RootValue,
     construction_limit,
@@ -13,8 +17,9 @@ from tightcycles.constructions import (
     space_barrier_min_degree,
     threshold_formulas,
 )
-from tightcycles.hypergraph import HypergraphError, degree_stats
-from tightcycles.oracle import find_tight_hamilton
+from tightcycles.experiments import scan_rows_to_csv, scan_threshold
+from tightcycles.hypergraph import DegreeReport, HypergraphError, degree_stats
+from tightcycles.oracle import SearchBudget, find_tight_hamilton
 
 
 class TestRootValue:
@@ -147,3 +152,65 @@ class TestRandomMinDegree:
     def test_delta_range(self):
         with pytest.raises(HypergraphError):
             gen_random_min_degree(8, 3, 1, Fraction(3, 2), 0)
+
+    def test_certificate_is_one_degree_stats_on_the_output(self):
+        seen = []
+
+        def spy(h, d, shadow_only=False):
+            seen.append(h)
+            return degree_stats(h, d, shadow_only)
+
+        with mock.patch.object(constructions, "degree_stats", spy):
+            h = gen_random_min_degree(10, 3, 1, Fraction(2, 3), 3)
+        assert seen == [h]
+
+    def test_failed_certificate_raises(self):
+        # an explicit check, not an assert that python -O strips
+        def short(h, d, shadow_only=False):
+            return DegreeReport(d, 0, Fraction(0), (0,), {})
+
+        with mock.patch.object(constructions, "degree_stats", short):
+            with pytest.raises(HypergraphError):
+                gen_random_min_degree(10, 3, 1, Fraction(2, 3), 3)
+
+
+def _outcome(gen, *args):
+    try:
+        return gen(*args)
+    except (HypergraphError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def min_degree_params(draw):
+    k = draw(st.sampled_from((3, 4)))
+    d = draw(st.integers(1, k - 1))
+    n = draw(st.integers(2, 11))
+    delta = draw(st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2),
+                         Fraction(5, 9), Fraction(2, 3), Fraction(3, 4), Fraction(9, 10)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+    ))
+    seed = draw(st.integers(0, (1 << 63) - 1))
+    return n, k, d, delta, seed
+
+
+@given(min_degree_params())
+@settings(max_examples=300, deadline=None)
+def test_incremental_repair_matches_slow_loop(params):
+    # small n makes n <= d and n < k come up, where both must fail alike
+    want = _outcome(slow_min_degree.gen_random_min_degree, *params)
+    assert _outcome(gen_random_min_degree, *params) == want
+
+
+def test_scan_csv_digest_is_pinned():
+    # digests of the CSVs produced before the incremental repair
+    budget = SearchBudget(max_nodes=20000)
+    grid3 = [Fraction(0), Fraction(1, 2), Fraction(5, 9), Fraction(2, 3), Fraction(1)]
+    rows, _ = scan_threshold(3, 1, [8, 10, 12], grid3, 2, 2024, budget)
+    assert hashlib.sha256(scan_rows_to_csv(rows).encode()).hexdigest() == (
+        "c634bd8a643680d19504763c452c96123b117cd03a2eeeff22e58f18abb14ac2")
+    grid4 = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+    rows, _ = scan_threshold(4, 2, [8, 9], grid4, 2, 7, budget)
+    assert hashlib.sha256(scan_rows_to_csv(rows).encode()).hexdigest() == (
+        "dbedc9e66776548f1591f0d54674ddb4636c584ec8d2839b17df02f2070b8b8b")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,6 +21,7 @@ from tightcycles.hypergraph import (
     link,
     relative_degree,
     shadow,
+    shadow_edge_count,
 )
 
 small_masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
@@ -69,6 +71,17 @@ class TestShadow:
     def test_level_out_of_range(self):
         with pytest.raises(HypergraphError):
             shadow(gen_complete(4, 3), 4)
+
+    def test_edge_count_level_out_of_range(self):
+        with pytest.raises(HypergraphError):
+            shadow_edge_count(gen_complete(4, 3), 4)
+
+    @given(small_masks, st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_count_matches_shadow(self, mask, j):
+        h = graph_from_mask(5, 3, mask)
+        want = (1 if h.edges else 0) if j == 0 else shadow(h, j).num_edges()
+        assert shadow_edge_count(h, j) == want
 
     @given(small_masks, st.integers(1, 2), st.integers(2, 3))
     @settings(max_examples=60, deadline=None)
@@ -163,6 +176,31 @@ class TestGenerators:
     def test_random_seed_deterministic(self):
         assert gen_random(8, 3, Fraction(1, 2), 3) == gen_random(8, 3, Fraction(1, 2), 3)
         assert gen_random(8, 3, Fraction(1, 2), 3) != gen_random(8, 3, Fraction(1, 2), 4)
+
+
+def fraction_coin(seed, edge):
+    """The earlier per-k-set coin: a Fraction in [0,1) keyed by (seed, edge)."""
+    key = (str(seed) + ":" + ",".join(map(str, edge))).encode()
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return Fraction(int.from_bytes(digest, "big"), 1 << 64)
+
+
+@given(st.integers(0, 9), st.integers(1, 4),
+       st.fractions(min_value=0, max_value=1, max_denominator=1 << 70),
+       st.integers(0, (1 << 64) - 1))
+@settings(max_examples=200, deadline=None)
+def test_integer_coin_matches_fraction_coin(n, k, p, seed):
+    want = tuple(e for e in combinations(range(n), k) if fraction_coin(seed, e) < p)
+    assert gen_random(n, k, p, seed).edges == want
+
+
+def test_integer_coin_at_its_boundary():
+    # p equal to a k-set's coin drops it (strict <); a hair above keeps it
+    for seed in (0, 5):
+        for e in combinations(range(6), 3):
+            u = fraction_coin(seed, e)
+            assert e not in gen_random(6, 3, u, seed).edges
+            assert e in gen_random(6, 3, u + Fraction(1, 1 << 80), seed).edges
 
 
 def naive_degree(h, s):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_mask, random_graph
+from tightcycles.constructions import gen_space_barrier
 from tightcycles.hypergraph import Hypergraph, HypergraphError, gen_complete, gen_tight_cycle
 from tightcycles.oracle import (
     AbsorbingGadget,
@@ -68,6 +70,24 @@ class TestHamilton:
         h = random_graph(6, 3, seed)
         res = find_tight_hamilton(h)
         assert (res.outcome == "found") == naive_has_hamilton(h)
+
+
+    @pytest.mark.parametrize("make, outcome, nodes", [
+        (lambda: gen_space_barrier(9, 3, 1), "exhausted-none", 131),
+        (lambda: gen_space_barrier(12, 3, 1), "exhausted-none", 1752),
+        (lambda: gen_space_barrier(10, 4, 2), "exhausted-none", 3820),
+        (lambda: gen_space_barrier(10, 4, 1), "exhausted-none", 6250),
+        (lambda: gen_space_barrier(10, 3, 2, parity=True), "exhausted-none", 3890),
+        (lambda: random_graph(9, 3, 1), "found", 48),
+        (lambda: random_graph(10, 3, 2, Fraction(2, 3)), "found", 17),
+        (lambda: random_graph(9, 4, 3, Fraction(3, 5)), "found", 148),
+        (lambda: random_graph(11, 3, 4), "found", 366),
+        (lambda: random_graph(8, 3, 5, Fraction(1, 3)), "exhausted-none", 160),
+    ])
+    def test_pinned_node_counts(self, make, outcome, nodes):
+        # the search order is part of the scan CSVs, which record nodes
+        res = find_tight_hamilton(make())
+        assert (res.outcome, res.nodes) == (outcome, nodes)
 
 
 class TestShortCycles:
