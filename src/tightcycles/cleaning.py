@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .hypergraph import Hypergraph, HypergraphError, shadow
+from .hypergraph import Hypergraph, HypergraphError
 
 
 class CleaningError(RuntimeError):
@@ -62,12 +62,9 @@ def gradation(i: Hypergraph, beta: Fraction, root: int = 1) -> Gradation:
     levels = [i]
     current = i
     for j in range(i.k - 1, 0, -1):
-        kept = []
-        for y in shadow(current, j).edges:
-            reldeg = Fraction(current.degree(y), t - j)
-            if reldeg ** root >= beta:
-                kept.append(y)
-        current = Hypergraph(t, j, tuple(sorted(kept)))
+        counts = current.degree_counts(j)
+        kept = tuple(y for y in sorted(counts) if Fraction(counts[y], t - j) ** root >= beta)
+        current = Hypergraph(t, j, kept)
         levels.append(current)
     return Gradation(tuple(reversed(levels)), beta, root)
 
@@ -112,18 +109,17 @@ def clean(r: Hypergraph, i: Hypergraph, d: int, beta: Fraction) -> CleaningResul
     alpha_star = Fraction(0)
     for j in range(1, d + 1):
         c_j = set(grad_f.level(j).edges)
-        sh = set(shadow(r_clean, j).edges)
-        bad = sh & c_j
+        counts = r_clean.degree_counts(j)
+        bad = counts.keys() & c_j
         if bad:
             raise CleaningError(
                 f"certificate violated at level {j}: {sorted(bad)[0]} is in "
                 "both the cleaned shadow and the perturbation gradation"
             )
-        denom = comb(n - j, k - j)
-        for y in combinations(range(n), j):
-            if y in c_j:
-                continue
-            reldeg = Fraction(r_clean.degree(y), denom)
+        low = min((counts.get(y, 0) for y in combinations(range(n), j) if y not in c_j),
+                  default=None)
+        if low is not None:
+            reldeg = Fraction(low, comb(n - j, k - j))
             if delta_out is None or reldeg < delta_out:
                 delta_out = reldeg
         alpha_star = max(alpha_star, Fraction(len(c_j), comb(n, j)))

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 class HypergraphError(ValueError):
@@ -68,9 +69,33 @@ class Hypergraph:
             seen.update(e)
         return tuple(sorted(seen))
 
+    def degree_counts(self, j: int) -> Mapping[tuple[int, ...], int]:
+        """The degree index at level j: every j-subset of an edge, as an
+        increasing tuple, mapped to its degree.
+
+        Built in one pass over the edges on first use, cached on the
+        graph and returned read-only.  j-sets in no edge are absent; the
+        keys are exactly the edges of the j-th shadow, and level 0 maps
+        () to e(H) for a nonempty H.
+        """
+        if j < 0:
+            raise HypergraphError(f"degree level {j} is negative")
+        cache = self.__dict__.setdefault("_degree_counts_cache", {})
+        index = cache.get(j)
+        if index is None:
+            counts: dict[tuple[int, ...], int] = {}
+            for e in self.edges:
+                for s in combinations(e, j):
+                    counts[s] = counts.get(s, 0) + 1
+            index = cache[j] = MappingProxyType(counts)
+        return index
+
     def degree(self, subset: Iterable[int]) -> int:
-        s = frozenset(subset)
-        return sum(1 for e in self.edges if s.issubset(e))
+        """Edges containing the set (repeats collapse; 0 if |set| > k)."""
+        s = tuple(sorted(set(subset)))
+        if len(s) > self.k:
+            return 0
+        return self.degree_counts(len(s)).get(s, 0)
 
 
 @dataclass(frozen=True)
@@ -115,19 +140,14 @@ def shadow(h: Hypergraph, j: int) -> Hypergraph:
     """The j-th shadow: all j-sets contained in some edge."""
     if not (1 <= j <= h.k):
         raise HypergraphError(f"shadow level {j} out of range 1..{h.k}")
-    out: set[tuple[int, ...]] = set()
-    for e in h.edges:
-        out.update(combinations(e, j))
-    return Hypergraph(h.n, j, tuple(sorted(out)))
+    return Hypergraph(h.n, j, tuple(sorted(h.degree_counts(j))))
 
 
 def shadow_edge_count(h: Hypergraph, j: int) -> int:
     """e_j(H) with the convention e_0 = 1 for nonempty H, 0 otherwise."""
-    if j == 0:
-        return 1 if h.edges else 0
-    if not (1 <= j <= h.k):
-        raise HypergraphError(f"shadow level {j} out of range 1..{h.k}")
-    return len({s for e in h.edges for s in combinations(e, j)})
+    if not (0 <= j <= h.k):
+        raise HypergraphError(f"shadow level {j} out of range 0..{h.k}")
+    return len(h.degree_counts(j))
 
 
 def link(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
@@ -164,10 +184,7 @@ def degree_stats(h: Hypergraph, d: int, shadow_only: bool = False) -> DegreeRepo
     which is the quantification used by perturbed-degree checks.
     """
     check_degree_level(h.n, h.k, d)
-    counts: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        for s in combinations(e, d):
-            counts[s] = counts.get(s, 0) + 1
+    counts = h.degree_counts(d)
     denom = comb(h.n - d, h.k - d)
     if shadow_only:
         candidates: Iterable[tuple[int, ...]] = sorted(counts)
@@ -214,20 +231,6 @@ def relative_degree(h: Hypergraph, subset: Iterable[int]) -> Fraction:
     if d >= h.k or h.n <= d:
         raise HypergraphError("relative degree needs |S| < k and n > |S|")
     return Fraction(h.degree(s), comb(h.n - d, h.k - d))
-
-
-def restrict(h: Hypergraph, edges: Iterable[Sequence[int]]) -> Hypergraph:
-    """Subgraph of h induced by the given edge subset (validated)."""
-    sub = tuple(sorted(tuple(sorted(e)) for e in edges))
-    for e in sub:
-        if e not in h._edge_lookup:
-            raise HypergraphError(f"{e} is not an edge of the host")
-    return Hypergraph(h.n, h.k, tuple(sorted(set(sub))))
-
-
-def remove_edges(h: Hypergraph, edges: Iterable[Sequence[int]]) -> Hypergraph:
-    gone = {tuple(sorted(e)) for e in edges}
-    return Hypergraph(h.n, h.k, tuple(e for e in h.edges if e not in gone))
 
 
 def gen_complete(n: int, k: int) -> Hypergraph:

@@ -7,7 +7,6 @@ constraint by constraint, independently of the solver.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -155,7 +154,8 @@ def max_matching_exact(h: Hypergraph, guard: int = _MATCHING_GUARD,
     dfs(0, frozenset())
     cover = set()
     for e in best:
-        assert not (cover & set(e)), "witness edges are not disjoint"
+        if cover & set(e):
+            raise MatchingError("witness edges are not disjoint")
         cover |= set(e)
     return len(best), best
 
@@ -175,9 +175,6 @@ def is_robustly_matchable(
     h: Hypergraph,
     gamma: Fraction,
     guard: int = _CORNER_GUARD,
-    monte_carlo: bool = False,
-    samples: int = 200,
-    seed: int = 0,
 ) -> RobustMatchReport:
     """Decide whether every b in [1-gamma, 1]^V admits a perfect
     b-fractional matching.
@@ -186,46 +183,26 @@ def is_robustly_matchable(
     is convex (linear image of a cone), so feasibility at all 2^n box
     corners certifies the whole box.  Corners are enumerated by ascending
     bitmask (set bit = demand 1-gamma); the first infeasible corner is
-    returned.  Above the guard a seeded Monte-Carlo mode samples corners
-    and interior points and is labeled uncertified.
+    returned.  Above the guard (n > guard) it raises MatchingError.
     """
     gamma = Fraction(gamma)
     if not (0 <= gamma < 1):
         raise MatchingError("gamma must lie in [0, 1)")
     n = h.n
+    if n > guard:
+        raise MatchingError(f"n={n} exceeds the corner guard ({guard})")
     A = _incidence(h)
-
-    def corner_feasible(b: list[Fraction]) -> bool:
-        return feasible_eq(A, b) is not None
-
-    if n <= guard:
-        low = 1 - gamma
-        for mask in range(1 << n):
-            b = [low if (mask >> v) & 1 else Fraction(1) for v in range(n)]
-            if not corner_feasible(b):
-                return RobustMatchReport(
-                    robust=False,
-                    certified=True,
-                    corners_checked=mask + 1,
-                    failing_corner={v: b[v] for v in range(n)},
-                )
-        return RobustMatchReport(robust=True, certified=True, corners_checked=1 << n)
-    if not monte_carlo:
-        raise MatchingError(
-            f"n={n} exceeds the corner guard ({guard}); pass monte_carlo=True for sampling"
-        )
-    checked = 0
-    for trial in range(samples):
-        b = []
-        for v in range(n):
-            key = f"{seed}:{trial}:{v}".encode()
-            u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-            frac = Fraction(u, 1 << 64)
-            b.append(1 - gamma * (Fraction(1) if u % 2 else frac))
-        checked += 1
-        if not corner_feasible(b):
-            return RobustMatchReport(False, False, checked, {v: b[v] for v in range(n)})
-    return RobustMatchReport(True, False, checked)
+    low = 1 - gamma
+    for mask in range(1 << n):
+        b = [low if (mask >> v) & 1 else Fraction(1) for v in range(n)]
+        if feasible_eq(A, b) is None:
+            return RobustMatchReport(
+                robust=False,
+                certified=True,
+                corners_checked=mask + 1,
+                failing_corner={v: b[v] for v in range(n)},
+            )
+    return RobustMatchReport(robust=True, certified=True, corners_checked=1 << n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, HypergraphError
-from .walks import TightWalk, validate_walk
+from .walks import TightWalk, WalkError, validate_walk
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ def find_tight_hamilton(h: Hypergraph, budget: SearchBudget = SearchBudget()) ->
     if got is None:
         return HamiltonResult("exhausted-none", None, searcher.nodes, elapsed)
     cycle = validate_walk(h, got, closed=True)
-    assert len(set(got)) == h.n
+    if len(set(got)) != h.n:
+        raise WalkError(f"search returned a closed walk on {len(set(got))} of {h.n} vertices")
     return HamiltonResult("found", cycle, searcher.nodes, elapsed)
 
 

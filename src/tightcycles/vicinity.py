@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
-from .hypergraph import Hypergraph, HypergraphError, link, shadow
+from .hypergraph import Hypergraph, HypergraphError, link, shadow, shadow_edge_count
 from .matching import is_robustly_matchable, lp_matching, uniform_weighting
-from .walks import component_subgraphs, find_closed_walk_residue, tight_components
+from .walks import find_closed_walk_residue, tight_components
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,14 @@ def select_component(g: Hypergraph, strategy: str = "max-ratio") -> Optional[Hyp
     """
     if strategy not in ("max-ratio", "max-edges"):
         raise HypergraphError(f"unknown strategy {strategy!r}")
-    comps = component_subgraphs(g)
-    if not comps:
-        return None
     part = tight_components(g)
+    if not part.num_components:
+        return None
     if strategy == "max-edges":
-        best = max(range(len(comps)), key=lambda i: (part.summaries[i].num_edges, -i))
+        best = max(range(part.num_components), key=lambda i: (part.summaries[i].num_edges, -i))
     else:
         best = max(
-            range(len(comps)),
+            range(part.num_components),
             key=lambda i: (
                 Fraction(part.summaries[i].num_edges, max(part.summaries[i].shadow_edges, 1)),
                 -i,
@@ -95,7 +94,7 @@ def select_component(g: Hypergraph, strategy: str = "max-ratio") -> Optional[Hyp
         e_prev = _lower_shadow_count(g)
         if chosen.num_edges * e_prev < e_l * chosen.shadow_edges:
             raise HypergraphError("max-ratio certificate failed")
-    return comps[best]
+    return Hypergraph(g.n, g.k, part.component_edges(best))
 
 
 def select_vicinity(r: Hypergraph, d: int, strategy: str = "max-ratio") -> Vicinity:
@@ -112,7 +111,7 @@ def select_vicinity(r: Hypergraph, d: int, strategy: str = "max-ratio") -> Vicin
 
 def _lower_shadow_count(g: Hypergraph) -> int:
     if g.k >= 2:
-        return shadow(g, g.k - 1).num_edges()
+        return shadow_edge_count(g, g.k - 1)
     return 1 if g.edges else 0
 
 
@@ -137,9 +136,11 @@ def verify_switcher(c: Hypergraph, sw: Switcher) -> bool:
 def find_switcher(c: Hypergraph) -> Optional[Switcher]:
     """First verified switcher, visiting edges in increasing f(A) order.
 
-    f(A) = sum over a in A of 1/deg(A - a) (exact; zero degrees sort
-    last), the search-order heuristic for edges likely to admit one.  A
-    None return certifies that every (edge, center) pair fails.
+    f(A) = sum over a in A of 1/deg(A - a), the search-order heuristic
+    for edges likely to admit one.  Each A - a lies in the edge A, so
+    its degree is between 1 and n; f is compared exactly as the integer
+    L * f(A) with L = lcm(1..n), which every such degree divides.  A None
+    return certifies that every (edge, center) pair fails.
     """
     ell = c.k
     if ell == 1:
@@ -148,14 +149,11 @@ def find_switcher(c: Hypergraph) -> Optional[Switcher]:
             return Switcher(e, e[0], {})
         return None
 
+    counts = c.degree_counts(ell - 1)
+    scale = lcm(*range(1, c.n + 1))
+
     def f_key(a):
-        total = Fraction(0)
-        for v in a:
-            d = c.degree(set(a) - {v})
-            if d == 0:
-                return (1, Fraction(0), a)
-            total += Fraction(1, d)
-        return (0, total, a)
+        return sum(scale // counts[a[:i] + a[i + 1:]] for i in range(ell)), a
 
     for a in sorted(c.edges, key=f_key):
         aset = set(a)
@@ -178,7 +176,8 @@ def find_switcher(c: Hypergraph) -> Optional[Switcher]:
                 witnesses[bvert] = found
             if ok:
                 sw = Switcher(a, central, witnesses)
-                assert verify_switcher(c, sw)
+                if not verify_switcher(c, sw):
+                    raise HypergraphError(f"switcher certificate failed at {a}")
                 return sw
     return None
 
@@ -210,10 +209,11 @@ def find_arc(v: Vicinity) -> Optional[Arc]:
     k, d = v.host.k, v.d
     for s in sorted(v.entries):
         c_s = v.entries[s]
+        vertex_degree = c_s.degree_counts(1)
         for v1 in s:
             rest = tuple(x for x in s if x != v1)
             for a in c_s.edges:
-                pivots = sorted(a, key=lambda x: (-c_s.degree({x}), x))
+                pivots = sorted(a, key=lambda x: (-vertex_degree.get((x,), 0), x))
                 for pivot in pivots:
                     s2 = tuple(sorted(rest + (pivot,)))
                     c_s2 = v.entries.get(s2)
@@ -226,7 +226,8 @@ def find_arc(v: Vicinity) -> Optional[Arc]:
                             continue
                         if c_s2.has_edge(amid + (tail,)):
                             arc = Arc((v1,) + rest + (pivot,) + amid + (tail,))
-                            assert verify_arc(v, arc)
+                            if not verify_arc(v, arc):
+                                raise HypergraphError(f"arc certificate failed at {arc.tuple}")
                             return arc
     return None
 
@@ -322,7 +323,8 @@ def _support_min_vertex_reldeg(h: Hypergraph) -> Optional[Fraction]:
     if len(supp) < h.k:
         return None
     denom = comb(len(supp) - 1, h.k - 1)
-    return min(Fraction(h.degree({v}), denom) for v in supp)
+    vertex_degree = h.degree_counts(1)
+    return Fraction(min(vertex_degree[(v,)] for v in supp), denom)
 
 
 def _relabel_to_support(h: Hypergraph) -> Hypergraph:
@@ -379,28 +381,25 @@ def verify_perturbed_degree(
     checks: dict[str, CheckResult] = {}
     n, k = r.n, r.k
     for j in range(1, d + 1):
-        sh = shadow(r, j)
+        counts = r.degree_counts(j)
         denom = comb(n - j, k - j)
         p1_witness = None
-        for y in sh.edges:
-            if Fraction(r.degree(y), denom) < delta:
+        for y in sorted(counts):
+            if Fraction(counts[y], denom) < delta:
                 p1_witness = y
                 break
         checks[f"P1[j={j}]"] = CheckResult(p1_witness is None, p1_witness)
 
-        comp_count = comb(n, j) - sh.num_edges()
+        comp_count = comb(n, j) - len(counts)
         density = Fraction(comp_count, comb(n, j))
         checks[f"P2[j={j}]"] = CheckResult(density <= alpha, None, density)
 
-        comp_edges = set(combinations(range(n), j)) - set(sh.edges)
+        missing = Hypergraph(n, j, tuple(y for y in combinations(range(n), j) if y not in counts))
+        missing_counts = missing.degree_counts(j - 1)
+        lower = [()] if j == 1 else sorted(r.degree_counts(j - 1))
         p3_witness = None
-        if j == 1:
-            lower = [()]
-        else:
-            lower = list(shadow(r, j - 1).edges)
         for y in lower:
-            deg = sum(1 for e in comp_edges if set(y).issubset(e))
-            if Fraction(deg, n - j + 1) >= alpha:
+            if Fraction(missing_counts.get(y, 0), n - j + 1) >= alpha:
                 p3_witness = y
                 break
         checks[f"P3[j={j}]"] = CheckResult(p3_witness is None, p3_witness)

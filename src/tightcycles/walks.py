@@ -15,7 +15,7 @@ from itertools import permutations
 from math import comb, factorial
 from typing import Iterable, Optional, Sequence
 
-from .hypergraph import Hypergraph, shadow
+from .hypergraph import Hypergraph, shadow_edge_count
 
 
 class WalkError(ValueError):
@@ -83,14 +83,6 @@ def validate_walk(h: Hypergraph, seq: Sequence[int], closed: bool) -> TightWalk:
     return TightWalk(seq, closed, h)
 
 
-def is_valid_walk(h: Hypergraph, seq: Sequence[int], closed: bool) -> bool:
-    try:
-        validate_walk(h, seq, closed)
-        return True
-    except WalkError:
-        return False
-
-
 class _UnionFind:
     def __init__(self, items: Iterable):
         self.parent = {x: x for x in items}
@@ -135,7 +127,7 @@ def tight_components(h: Hypergraph) -> ComponentPartition:
     for edges in members:
         sub = Hypergraph(h.n, h.k, tuple(edges))
         # e_0 convention: one (empty) shadow edge for a nonempty 1-graph
-        sh_count = shadow(sub, h.k - 1).num_edges() if h.k >= 2 else 1
+        sh_count = shadow_edge_count(sub, h.k - 1) if h.k >= 2 else 1
         span = len(sub.support())
         summaries.append(
             ComponentSummary(

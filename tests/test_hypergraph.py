@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slow_degree
 from conftest import graph_from_mask
 from tightcycles.hypergraph import (
     Hypergraph,
@@ -215,3 +216,56 @@ def test_degree_stats_matches_naive_recount(mask, d):
     naive_min = min(naive_degree(h, s) for s in combinations(range(5), d))
     assert rep.min_degree == naive_min
     assert rep.min_relative_degree == Fraction(naive_min, comb(5 - d, 3 - d))
+
+
+@st.composite
+def graphs_and_sets(draw):
+    n = draw(st.integers(0, 7))
+    k = draw(st.integers(0, 4))
+    all_edges = list(combinations(range(n), k))
+    edges = draw(st.sets(st.sampled_from(all_edges), max_size=20)) if all_edges else set()
+    # repeated and out-of-range vertices included
+    subset = draw(st.lists(st.integers(-2, n + 2), max_size=k + 2))
+    return Hypergraph(n, k, tuple(sorted(edges))), subset
+
+
+@given(graphs_and_sets())
+@settings(max_examples=300, deadline=None)
+def test_degree_index_matches_edge_scan(case):
+    h, subset = case
+    assert h.degree(subset) == slow_degree.degree(h, subset)
+    for j in range(h.k + 2):
+        counts = h.degree_counts(j)
+        assert counts is h.degree_counts(j)
+        for s in combinations(range(-1, h.n + 1), j):
+            want = slow_degree.degree(h, s)
+            assert counts.get(s, 0) == want
+            assert (s in counts) == (want > 0)
+            assert h.degree(s) == want
+        assert len(counts) == sum(1 for s in combinations(range(h.n), j)
+                                  if slow_degree.degree(h, s))
+        if 1 <= j <= h.k:
+            assert shadow_edge_count(h, j) == len(counts)
+            assert shadow(h, j).edges == tuple(sorted(counts))
+
+
+def test_degree_index_is_read_only():
+    h = gen_complete(5, 3)
+    counts = h.degree_counts(1)
+    with pytest.raises(TypeError):
+        counts[(0,)] = 0
+    with pytest.raises(TypeError):
+        del counts[(0,)]
+    assert not hasattr(counts, "clear")
+    assert h.degree({0}) == 6
+
+
+def test_degree_edge_cases():
+    h = gen_tight_cycle(6, 3)
+    assert h.degree(()) == h.num_edges() == 6
+    assert h.degree([0, 0, 1, 1]) == h.degree([0, 1]) == 2
+    assert h.degree([0, 1, 2, 3]) == 0
+    assert h.degree([6]) == h.degree([-1]) == 0
+    assert Hypergraph(4, 3, ()).degree(()) == 0
+    with pytest.raises(HypergraphError):
+        h.degree_counts(-1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_mask, random_graph
+from tightcycles import oracle
 from tightcycles.constructions import gen_space_barrier
 from tightcycles.hypergraph import Hypergraph, HypergraphError, gen_complete, gen_tight_cycle
 from tightcycles.oracle import (
@@ -17,7 +18,7 @@ from tightcycles.oracle import (
     verify_absorption_swap,
     verify_gadget,
 )
-from tightcycles.walks import validate_walk
+from tightcycles.walks import WalkError, validate_walk
 
 
 def naive_has_hamilton(h):
@@ -55,6 +56,12 @@ class TestHamilton:
     def test_too_small(self):
         with pytest.raises(HypergraphError):
             find_tight_hamilton(gen_complete(3, 3))
+
+    def test_non_hamiltonian_answer_raises(self, monkeypatch):
+        # a closed tight walk that misses vertices 4..6 must not be returned
+        monkeypatch.setattr(oracle._Searcher, "search", lambda self, *args: [0, 1, 2, 3] * 2)
+        with pytest.raises(WalkError, match="4 of 7"):
+            find_tight_hamilton(gen_complete(7, 3))
 
     @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
     @settings(max_examples=25, deadline=None)

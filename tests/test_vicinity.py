@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_mask, random_graph
+from conftest import graph_from_mask, random_graph, seeded_rng
+from tightcycles import vicinity
+from tightcycles.cleaning import clean, gradation
 from tightcycles.hypergraph import (
     Hypergraph,
     HypergraphError,
+    degree_stats,
     gen_complete,
+    gen_random,
     gen_tight_cycle,
     link,
     shadow,
@@ -18,6 +23,7 @@ from tightcycles.vicinity import (
     Arc,
     Switcher,
     Vicinity,
+    _support_min_vertex_reldeg,
     find_arc,
     find_switcher,
     generate_graph,
@@ -29,7 +35,7 @@ from tightcycles.vicinity import (
     verify_perturbed_degree,
     verify_switcher,
 )
-from tightcycles.walks import switcher_loop
+from tightcycles.walks import find_closed_walk_residue, switcher_loop, tight_components
 
 small_masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
 
@@ -117,6 +123,12 @@ class TestSwitchers:
         sw = find_switcher(c)
         assert sw is not None and verify_switcher(c, sw)
 
+    def test_failed_certificate_raises(self, monkeypatch):
+        # an explicit check, not an assert that python -O strips
+        monkeypatch.setattr(vicinity, "verify_switcher", lambda c, sw: False)
+        with pytest.raises(HypergraphError, match="switcher certificate"):
+            find_switcher(gen_complete(5, 2))
+
     @given(small_masks)
     @settings(max_examples=40, deadline=None)
     def test_found_switchers_always_verify_and_loop(self, mask):
@@ -156,6 +168,12 @@ class TestArcs:
         v = select_vicinity(gen_complete(5, 3), 1)
         arc = find_arc(v)
         assert arc is not None and verify_arc(v, arc)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        v = select_vicinity(gen_complete(5, 3), 1)
+        monkeypatch.setattr(vicinity, "verify_arc", lambda v, arc: False)
+        with pytest.raises(HypergraphError, match="arc certificate"):
+            find_arc(v)
 
     def test_arc_needs_distinct_vertices(self):
         v = select_vicinity(gen_complete(5, 3), 1)
@@ -274,3 +292,52 @@ class TestPerturbedDegree:
         rep = verify_perturbed_degree(h, 1, Fraction(1, 10), Fraction(1, 2))
         # vertex 5 is outside the 1-shadow, so the empty set sees density 1/6 >= alpha
         assert not rep.checks["P3[j=1]"].passed
+
+
+def _structure_chain_text(seed: int, p: Fraction) -> str:
+    """Every output of the vicinity -> cleaning chain on one seeded n = 16
+    host, as text: vicinity, switchers, arc, generated graph and its
+    components, residue-1 walk, P-checks, cleaning, degree statistics."""
+    r = gen_random(16, 3, p, seed)
+    perturbation = Hypergraph(16, 3, tuple(sorted(seeded_rng("chain", seed).sample(r.edges, 3))))
+    vic = select_vicinity(r, 1)
+    g = generate_graph(vic)
+    walk = find_closed_walk_residue(g, 1)
+    cleaned = clean(r, perturbation, 1, Fraction(1, 4))
+    parts = [
+        [(s, c.edges) for s, c in sorted(vic.entries.items())],
+        [(s, find_switcher(c)) for s, c in sorted(vic.entries.items())],
+        find_arc(vic),
+        g.edges,
+        tight_components(g).summaries,
+        walk.vertices if walk else None,
+        sorted(verify_perturbed_degree(r, 1, Fraction(1, 10), Fraction(1, 2)).checks.items()),
+        sorted(verify_perturbed_degree(r, 2, Fraction(1, 10), Fraction(1, 2)).checks.items()),
+        cleaned.r_clean.edges,
+        cleaned.f.edges,
+        [lvl.edges for lvl in cleaned.gradation_of_f.levels],
+        cleaned.delta_out,
+        cleaned.alpha_star,
+        [lvl.edges for lvl in gradation(r, Fraction(1, 2), 2).levels],
+        [degree_stats(r, d) for d in (1, 2)],
+        degree_stats(r, 2, shadow_only=True),
+        degree_stats(r, 2).per_level_shadow_densities,
+        _support_min_vertex_reldeg(g),
+        select_component(link(r, (0,)), "max-edges"),
+    ]
+    return repr(parts)
+
+
+# Recorded from the code before the cached degree index.
+_CHAIN_DIGESTS = {
+    (1, Fraction(3, 4)): "55864e94b8ee1617e33f164a7c83620dcfe254f5758a29ba44f1c55f8df28971",
+    (2, Fraction(3, 4)): "da13b6505ef3510867d2aa2c708b9032827eb1282014584936105c0aedefe350",
+    (3, Fraction(1, 2)): "b901c8b4623d3df948c9f871ba270c19b05efb3317c392a975456a43986171ae",
+    (4, Fraction(1, 4)): "0771d1debc4cdd196da1aac8fc82df14384b7a78306ba4ee226c74c58abe4131",
+}
+
+
+@pytest.mark.parametrize("seed,p", sorted(_CHAIN_DIGESTS))
+def test_structure_chain_digest_is_pinned(seed, p):
+    text = _structure_chain_text(seed, p)
+    assert hashlib.sha256(text.encode()).hexdigest() == _CHAIN_DIGESTS[(seed, p)]
