@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Verifier subcommands exit 1 on any failed property; `hamilton` exits 0
-when a cycle is found, 3 on a certified none, 4 on timeout.
+when a cycle is found, 3 on a certified none, 4 on timeout.  Input
+errors (a missing or unreadable file, a malformed hypergraph, an
+out-of-range vertex, a bad rational such as "1/0") exit 2 with a
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +25,25 @@ from .serialize import (
 )
 
 
+class _InputError(Exception):
+    """Malformed input, reported by main in one line with exit code 2."""
+
+
 def _rational(s: str) -> Fraction:
     return rational_from_str(s)
+
+
+def _rationals(s: str) -> list[Fraction]:
+    return [rational_from_str(x) for x in s.split(",")]
+
+
+def _load(path: str) -> hypergraph.Hypergraph:
+    """Load a hypergraph file; malformed content becomes an input error
+    (an OSError from opening it reaches main as it is)."""
+    try:
+        return load_hypergraph(path)
+    except ValueError as err:
+        raise _InputError(f"{path}: {err}") from None
 
 
 def _emit(obj) -> None:
@@ -48,7 +68,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_walk_mod(args) -> int:
-    h = load_hypergraph(args.input)
+    h = _load(args.input)
     with open(args.walk) as fh:
         payload = json.load(fh)
     try:
@@ -67,7 +87,7 @@ def _cmd_walk_mod(args) -> int:
 
 
 def _cmd_matching(args) -> int:
-    h = load_hypergraph(args.input)
+    h = _load(args.input)
     if args.b:
         with open(args.b) as fh:
             raw = json.load(fh)
@@ -85,7 +105,7 @@ def _cmd_matching(args) -> int:
 
 
 def _cmd_vicinity(args) -> int:
-    r = load_hypergraph(args.input)
+    r = _load(args.input)
     v = vicinity.select_vicinity(r, args.d, args.strategy)
     if args.out:
         with open(args.out, "w") as fh:
@@ -100,15 +120,15 @@ def _cmd_vicinity(args) -> int:
 
 
 def _cmd_framework(args) -> int:
-    r = load_hypergraph(args.input)
-    hsub = load_hypergraph(args.sub)
+    r = _load(args.input)
+    hsub = _load(args.sub)
     report = vicinity.verify_framework(r, hsub, args.alpha, args.gamma, args.delta)
     _emit({name: {"passed": c.passed} for name, c in report.checks.items()})
     return 0 if report.passed else 1
 
 
 def _cmd_perturbed(args) -> int:
-    r = load_hypergraph(args.input)
+    r = _load(args.input)
     report = vicinity.verify_perturbed_degree(r, args.d, args.alpha, args.delta)
     _emit({name: {"passed": c.passed, "witness": repr(c.witness) if c.witness else None}
            for name, c in report.checks.items()})
@@ -116,8 +136,8 @@ def _cmd_perturbed(args) -> int:
 
 
 def _cmd_clean(args) -> int:
-    r = load_hypergraph(args.input)
-    i = load_hypergraph(args.perturbed)
+    r = _load(args.input)
+    i = _load(args.perturbed)
     result = cleaning.clean(r, i, args.d, args.beta)
     if args.out:
         save_hypergraph(result.r_clean, args.out)
@@ -132,7 +152,7 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_hamilton(args) -> int:
-    h = load_hypergraph(args.input)
+    h = _load(args.input)
     budget = oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
     result = oracle.find_tight_hamilton(h, budget)
     out = {"outcome": result.outcome, "nodes": result.nodes, "seconds": result.seconds}
@@ -143,11 +163,10 @@ def _cmd_hamilton(args) -> int:
 
 
 def _cmd_scan_threshold(args) -> int:
-    grid = [rational_from_str(s) for s in args.grid.split(",")]
-    n_list = [int(s) for s in args.n.split(",")]
     budget = oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
+    n_list = [int(s) for s in args.n.split(",")]
     rows, summary = experiments.scan_threshold(
-        args.k, args.d, n_list, grid, args.trials, args.seed, budget
+        args.k, args.d, n_list, args.grid, args.trials, args.seed, budget
     )
     text = experiments.scan_rows_to_csv(rows)
     if args.out:
@@ -160,8 +179,7 @@ def _cmd_scan_threshold(args) -> int:
 
 
 def _cmd_eg_scan(args) -> int:
-    grid = [rational_from_str(s) for s in args.grid.split(",")]
-    rows, summary = experiments.eg_scan(args.ell, args.n, grid, args.trials, args.seed)
+    rows, summary = experiments.eg_scan(args.ell, args.n, args.grid, args.trials, args.seed)
     text = experiments.eg_rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -258,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", required=True, help="comma-separated vertex counts")
-    p.add_argument("--grid", required=True, help="comma-separated 'p/q' degrees")
+    p.add_argument("--grid", type=_rationals, required=True, help="comma-separated 'p/q' degrees")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-nodes", type=int, default=10**8)
@@ -269,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eg-scan", help="tight-component quality explorer")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", required=True)
+    p.add_argument("--grid", type=_rationals, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -284,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, _InputError) as err:
+        sys.stderr.write(f"tightcycles: error: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

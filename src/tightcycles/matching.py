@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, floor
+from math import comb, floor
 from typing import Optional
 
 from .hypergraph import Hypergraph, link, shadow_edge_count
@@ -275,49 +275,37 @@ def check_erdos_gallai(g: Hypergraph, s: int, use_lp_bound: bool = True) -> Boun
     return BoundReport(hyp, concl, {"threshold": threshold, "matching": size})
 
 
-def _binom_frac(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= x - i
-    return out / factorial(k)
-
-
-_KK_TOL = Fraction(1, 1 << 40)
-_KK_SLACK = Fraction(1, 10**9)
+def _cascade(e: int, k: int) -> tuple[int, ...]:
+    """The k-binomial cascade of e >= 0: the greedy a_k > a_{k-1} > ...
+    > a_t >= t >= 1 with e = C(a_k, k) + C(a_{k-1}, k-1) + ... + C(a_t, t)."""
+    out: list[int] = []
+    i = k
+    while e > 0:
+        a = i
+        while comb(a + 1, i) <= e:
+            a += 1
+        out.append(a)
+        e -= comb(a, i)
+        i -= 1
+    return tuple(out)
 
 
 def check_kruskal_katona(h: Hypergraph, j: int) -> BoundReport:
-    """Lovasz-form shadow bound: e(H) >= C(x,k) implies e_j >= C(x,j).
+    """Kruskal-Katona in exact cascade form.
 
-    x is located by monotone bisection over exact rationals; the lower
-    bisection endpoint is used so the resulting bound is sound.
+    With e(H) = C(a_k, k) + C(a_{k-1}, k-1) + ... + C(a_t, t), every
+    k-graph has e_j(H) >= C(a_k, j) + C(a_{k-1}, j-1) + ..., which is the
+    j-shadow of the first e(H) k-sets in colex order: the true minimum,
+    compared in integers.
     """
     if not (1 <= j < h.k):
         raise MatchingError("shadow level out of range")
     k = h.k
-    e = h.num_edges()
-    if e == 0:
-        return BoundReport(True, True, {"x": Fraction(k - 1), "bound": Fraction(0), "actual": 0})
-    lo = Fraction(k - 1)
-    hi = Fraction(k)
-    while _binom_frac(hi, k) < e:
-        hi *= 2
-    while hi - lo > _KK_TOL:
-        mid = (lo + hi) / 2
-        if _binom_frac(mid, k) <= e:
-            lo = mid
-        else:
-            hi = mid
-    bound = _binom_frac(lo, j)
+    cascade = _cascade(h.num_edges(), k)
+    bound = sum(comb(a, i - (k - j)) for i, a in zip(range(k, 0, -1), cascade) if i >= k - j)
     actual = shadow_edge_count(h, j)
-    holds = Fraction(actual) >= bound - _KK_SLACK
-    density_form = None
-    if h.n >= k:
-        delta = Fraction(e, comb(h.n, k))
-        density_form = float(delta) ** (j / k)
-    return BoundReport(True, holds, {
-        "x": lo,
+    return BoundReport(True, actual >= bound, {
+        "cascade": cascade,
         "bound": bound,
         "actual": actual,
-        "density_form": density_form,
     })

@@ -10,10 +10,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, HypergraphError
+from .hypergraph import Hypergraph, HypergraphError, window_index
 from .walks import TightWalk, WalkError, validate_walk
 
 
@@ -48,18 +47,7 @@ class _Searcher:
         self.budget = budget
         self.nodes = 0
         self.start_time = time.monotonic()
-        self.window_index: dict[frozenset, list[int]] = {}
-        self.prefixes: set[frozenset] = set()
-        for e in h.edges:
-            # extend() only asks about prefixes of 2..k-1 vertices
-            for r in range(2, h.k):
-                for sub in combinations(e, r):
-                    self.prefixes.add(frozenset(sub))
-            for drop in range(h.k):
-                win = frozenset(e[:drop] + e[drop + 1:])
-                self.window_index.setdefault(win, []).append(e[drop])
-        for lst in self.window_index.values():
-            lst.sort()
+        self.successors = window_index(h).get
 
     def _tick(self):
         self.nodes += 1
@@ -71,9 +59,16 @@ class _Searcher:
 
     def search(self, length: int, start: int, allowed: Sequence[int]) -> Optional[tuple[int, ...]]:
         k = self.h.k
+        successors = self.successors
         seq = [start]
         used = {start}
         pool = sorted(allowed)
+
+        def is_prefix(vs: list[int]) -> bool:
+            # (k-1)-prefixes are windows; shorter ones (k >= 4) are shadow sets
+            if len(vs) == k - 1:
+                return successors(frozenset(vs)) is not None
+            return tuple(sorted(vs)) in self.h.degree_counts(len(vs))
 
         def close_ok() -> bool:
             if seq[1] > seq[-1]:
@@ -90,13 +85,13 @@ class _Searcher:
             if p == length:
                 return tuple(seq) if close_ok() else None
             if p >= k - 1:
-                cands = self.window_index.get(frozenset(seq[-(k - 1):]), ())
+                cands = successors(frozenset(seq[-(k - 1):]), ())
             else:
                 cands = pool
             for x in cands:
                 if x in used or x not in pool_set:
                     continue
-                if p < k - 1 and frozenset(seq + [x]) not in self.prefixes:
+                if p < k - 1 and not is_prefix(seq + [x]):
                     continue
                 seq.append(x)
                 used.add(x)

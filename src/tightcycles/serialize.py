@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .hypergraph import Hypergraph, build_hypergraph
+from .hypergraph import Hypergraph, HypergraphError, build_hypergraph
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -17,10 +17,12 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    """Parse "p/q" or an integer; ValueError on malformed text or q = 0."""
+    p, slash, q = s.partition("/")
+    den = int(q) if slash else 1
+    if den == 0:
+        raise ValueError(f"rational {s!r} has a zero denominator")
+    return Fraction(int(p), den)
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
@@ -40,7 +42,10 @@ def hypergraph_to_hg(h: Hypergraph) -> str:
 
 def hypergraph_from_hg(text: str) -> Hypergraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, k = map(int, lines[0].split())
+    try:
+        n, k = map(int, lines[0].split())
+    except (IndexError, ValueError):
+        raise HypergraphError("a .hg file must start with an 'n k' header line") from None
     edges = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     h, _ = build_hypergraph(n, k, edges)
     return h

@@ -4,18 +4,25 @@ Components are computed by union-find over the relation "two edges share
 k-1 vertices", which is equivalent to lying on a common tight walk:
 consecutive windows of any walk overlap in k-1 vertices, and conversely a
 chain of (k-1)-overlaps is realized by one walk that rotates cyclically
-inside each edge.  The walk-state BFS oracle is kept for tests.
+inside each edge.
+
+Every walk search runs on one ordered-window engine: the (k-1)-window
+index of hypergraph.window_index gives each ordered window its
+one-vertex shifts in ascending order, and one level-order BFS with
+parents (_bfs) explores states built on those shifts.  Strong
+connectivity, the co-walk oracle, shortest walks and closed walks of a
+given residue differ only in their state and step function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .hypergraph import Hypergraph, shadow_edge_count
+from .hypergraph import Hypergraph, window_index
 
 
 class WalkError(ValueError):
@@ -50,15 +57,15 @@ class ComponentSummary:
 class ComponentPartition:
     edge_to_component: dict[tuple[int, ...], int]
     summaries: tuple[ComponentSummary, ...]
+    members: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False, compare=False)
 
     @property
     def num_components(self) -> int:
         return len(self.summaries)
 
     def component_edges(self, cid: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            sorted(e for e, c in self.edge_to_component.items() if c == cid)
-        )
+        """The edges of component cid, sorted."""
+        return self.members[cid]
 
 
 def _windows(seq: Sequence[int], k: int, closed: bool):
@@ -102,38 +109,42 @@ class _UnionFind:
 
 
 def tight_components(h: Hypergraph) -> ComponentPartition:
-    """Partition edges into tight components via a (k-1)-subset index."""
-    uf = _UnionFind(h.edges)
-    index: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e in h.edges:
-        for drop in range(h.k):
-            sub = e[:drop] + e[drop + 1:]
-            if sub in index:
-                uf.union(index[sub], e)
-            else:
-                index[sub] = e
-    roots: dict[tuple[int, ...], int] = {}
+    """Partition edges into tight components through the window index.
+
+    The edges through one (k-1)-window are tightly connected, so each
+    window unions its edges.  A component's (k-1)-shadow is the set of
+    windows that fall in it and its span is the union of its edges.
+    """
+    edge_id = {frozenset(e): i for i, e in enumerate(h.edges)}
+    uf = _UnionFind(range(len(h.edges)))
+    anchors = []  # one edge through each window
+    for w, xs in window_index(h).items():
+        first = edge_id[w | {xs[0]}]
+        for x in xs[1:]:
+            uf.union(first, edge_id[w | {x}])
+        anchors.append(first)
+    roots: dict[int, int] = {}
     mapping: dict[tuple[int, ...], int] = {}
     members: list[list[tuple[int, ...]]] = []
-    for e in h.edges:  # edges are sorted, so ids follow least-edge order
-        r = uf.find(e)
+    for i, e in enumerate(h.edges):  # edges are sorted, so ids follow least-edge order
+        r = uf.find(i)
         if r not in roots:
             roots[r] = len(members)
             members.append([])
         cid = roots[r]
         mapping[e] = cid
         members[cid].append(e)
+    # a 1-graph has the one empty window: the e_0 = 1 convention
+    shadow_counts = [0] * len(members)
+    for a in anchors:
+        shadow_counts[roots[uf.find(a)]] += 1
     summaries = []
-    for edges in members:
-        sub = Hypergraph(h.n, h.k, tuple(edges))
-        # e_0 convention: one (empty) shadow edge for a nonempty 1-graph
-        sh_count = shadow_edge_count(sub, h.k - 1) if h.k >= 2 else 1
-        span = len(sub.support())
+    for edges, sh_count in zip(members, shadow_counts):
         summaries.append(
             ComponentSummary(
                 num_edges=len(edges),
                 shadow_edges=sh_count,
-                span=span,
+                span=len(set().union(*edges)),
                 edge_density=Fraction(len(edges), comb(h.n, h.k)) if h.n >= h.k else Fraction(0),
                 shadow_density=(
                     Fraction(sh_count, comb(h.n, h.k - 1))
@@ -142,7 +153,7 @@ def tight_components(h: Hypergraph) -> ComponentPartition:
                 ),
             )
         )
-    return ComponentPartition(mapping, tuple(summaries))
+    return ComponentPartition(mapping, tuple(summaries), tuple(map(tuple, members)))
 
 
 def component_subgraphs(h: Hypergraph) -> list[Hypergraph]:
@@ -153,42 +164,64 @@ def component_subgraphs(h: Hypergraph) -> list[Hypergraph]:
     ]
 
 
+def _bfs(starts: Iterable[tuple], step: Callable[[tuple], list[tuple]],
+         goal: Callable[[tuple], bool] = lambda state: False) -> tuple[dict, Optional[tuple]]:
+    """Level-order BFS with parents: the one search behind every walk query.
+
+    `step(state)` lists a state's successors in order; states are tuples
+    whose first entry is an ordered window.  Returns the parent map
+    (starts map to None) and the first state, starts included, that
+    meets `goal` as it is discovered, or None once everything reachable
+    is exhausted.
+    """
+    parents = dict.fromkeys(starts)
+    for state in parents:
+        if goal(state):
+            return parents, state
+    frontier = list(parents)
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for new in step(state):
+                if new in parents:
+                    continue
+                parents[new] = state
+                if goal(new):
+                    return parents, new
+                nxt.append(new)
+        frontier = nxt
+    return parents, None
+
+
+def _walk_vertices(parents: dict, state: tuple) -> tuple[int, ...]:
+    """The walk a parent chain spells: its first window, then the vertex
+    each later step appends."""
+    tail = []
+    while parents[state] is not None:
+        tail.append(state[0][-1])
+        state = parents[state]
+    return state[0] + tuple(reversed(tail))
+
+
+def _shift(h: Hypergraph) -> Callable[[tuple], list[tuple]]:
+    """Step on ordered edges: drop the first vertex, append each x in
+    ascending order for which the shifted window is again an edge."""
+    get = window_index(h).get
+    return lambda t: [t[1:] + (x,) for x in get(frozenset(t[1:]), ())]
+
+
 def co_walk_oracle(h: Hypergraph, e: Sequence[int], f: Sequence[int]) -> bool:
     """Is there a tight walk containing edge e and then edge f?
 
-    BFS over ordered (k-1)-window states; test oracle for tight_components.
+    BFS over the orderings of e; test oracle for tight_components.
     """
-    k = h.k
     e = tuple(sorted(e))
     f = tuple(sorted(f))
     if not (h.has_edge(e) and h.has_edge(f)):
         raise WalkError("both endpoints must be edges of the host")
-    if e == f:
-        return True
-    if k == 1:
-        return True
     fset = frozenset(f)
-    start = {perm[1:] for perm in permutations(e)}
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            stateset = set(state)
-            for x in range(h.n):
-                if x in stateset:
-                    continue
-                win = set(state) | {x}
-                if not h.has_edge(win):
-                    continue
-                if win == fset:
-                    return True
-                new = state[1:] + (x,)
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return False
+    _, hit = _bfs(permutations(e), _shift(h), lambda t: frozenset(t) == fset)
+    return hit is not None
 
 
 _STRONG_GUARD = 200_000
@@ -197,43 +230,18 @@ _STRONG_GUARD = 200_000
 def is_strongly_connected(h: Hypergraph) -> bool:
     """Every two directed edges lie on a common tight walk.
 
-    Builds the digraph on all k! orderings of each edge with arcs given by
-    one-vertex window shifts; answers via forward+backward reachability.
+    The digraph on all k! orderings of each edge has arcs given by
+    one-vertex window shifts.  Every arc t -> s can be walked back:
+    rotate s inside its edge until t's window t[1:] comes last, append
+    t[0], then rotate inside t's edge back to t.  So reachability is
+    symmetric, and one forward search from any ordering decides it.
     """
     if not h.edges:
         raise WalkError("strong connectivity undefined for empty hypergraphs")
-    k = h.k
-    if h.num_edges() * factorial(k) > _STRONG_GUARD:
+    if h.num_edges() * factorial(h.k) > _STRONG_GUARD:
         raise WalkError("instance too large for the strong-connectivity check")
-    nodes = [perm for e in h.edges for perm in permutations(e)]
-    node_set = set(nodes)
-
-    def successors(t):
-        base = t[1:]
-        baseset = set(base)
-        for x in range(h.n):
-            if x not in baseset and h.has_edge(base + (x,)):
-                yield base + (x,)
-
-    def predecessors(t):
-        base = t[:-1]
-        baseset = set(base)
-        for x in range(h.n):
-            if x not in baseset and h.has_edge((x,) + base):
-                yield (x,) + base
-
-    for step in (successors, predecessors):
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            cur = stack.pop()
-            for nxt in step(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != node_set:
-            return False
-    return True
+    nodes = {perm for e in h.edges for perm in permutations(e)}
+    return _bfs((h.edges[0],), _shift(h))[0].keys() == nodes
 
 
 def find_tight_walk(
@@ -254,37 +262,18 @@ def find_tight_walk(
     for t in (start, end):
         if len(t) != k or len(set(t)) != k or not h.has_edge(t):
             raise WalkError(f"{t} is not a realized directed edge")
-    init = (start, k % k)
-    goal_ok = lambda st: st[0] == end and (residue is None or st[1] == residue)
-    if goal_ok(init):
-        return TightWalk(start, False, h)
-    parents: dict[tuple, tuple] = {init: None}
-    frontier = [init]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            win, res = state
-            base = win[1:]
-            baseset = set(base)
-            for x in range(h.n):
-                if x in baseset or not h.has_edge(base + (x,)):
-                    continue
-                new = (base + (x,), (res + 1) % k)
-                if new in parents:
-                    continue
-                parents[new] = state
-                if goal_ok(new):
-                    seq = [x]
-                    cur = state
-                    while parents[cur] is not None:
-                        seq.append(cur[0][-1])
-                        cur = parents[cur]
-                    seq.extend(reversed(start))
-                    seq.reverse()
-                    return validate_walk(h, seq, closed=False)
-                nxt.append(new)
-        frontier = nxt
-    return None
+    get = window_index(h).get
+
+    def step(state):
+        base = state[0][1:]
+        res = (state[1] + 1) % k
+        return [(base + (x,), res) for x in get(frozenset(base), ())]
+
+    parents, hit = _bfs([(start, 0)], step,
+                        lambda st: st[0] == end and (residue is None or st[1] == residue))
+    if hit is None:
+        return None
+    return validate_walk(h, _walk_vertices(parents, hit), closed=False)
 
 
 def find_closed_walk_residue(h: Hypergraph, residue: int) -> Optional[TightWalk]:
@@ -292,53 +281,27 @@ def find_closed_walk_residue(h: Hypergraph, residue: int) -> Optional[TightWalk]
 
     A closed walk with first window X corresponds to an open walk X -> X
     with at least one step; gluing drops the trailing k vertices, which
-    keeps the residue.  Exhausts every directed edge as X before giving up.
-    """
-    k = h.k
-    for e in h.edges:
-        for x in permutations(e):
-            open_walk = _open_walk_nontrivial(h, x, residue)
-            if open_walk is not None:
-                return validate_walk(h, open_walk.vertices[:-k], closed=True)
-    return None
-
-
-def _open_walk_nontrivial(h, x, residue) -> Optional[TightWalk]:
-    """Open walk x -> x of prescribed residue whose glued closed form is
-    long enough (>= k+1 vertices, so at least k+1 BFS steps here).
-
-    The step count is capped in the state, so the space stays finite
-    while still distinguishing too-short returns to the start.
+    keeps the residue.  The glued form needs >= k+1 vertices, so at least
+    k+1 steps: the step count is capped at that in the state, which keeps
+    the space finite while telling too-short returns apart.  Exhausts
+    every directed edge as X before giving up.
     """
     k = h.k
     min_steps = k + 1 if k >= 2 else 1
-    init = (x, 0, 0)
-    parents: dict[tuple, tuple] = {init: None}
-    frontier = [init]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            win, res, steps = state
-            base = win[1:]
-            baseset = set(base)
-            for v in range(h.n):
-                if v in baseset or not h.has_edge(base + (v,)):
-                    continue
-                new = (base + (v,), (res + 1) % k, min(steps + 1, min_steps))
-                if new[0] == x and new[1] == residue % k and new[2] >= min_steps:
-                    seq = [v]
-                    cur = state
-                    while parents[cur] is not None:
-                        seq.append(cur[0][-1])
-                        cur = parents[cur]
-                    seq.extend(reversed(x))
-                    seq.reverse()
-                    return validate_walk(h, seq, closed=False)
-                if new in parents:
-                    continue
-                parents[new] = state
-                nxt.append(new)
-        frontier = nxt
+    get = window_index(h).get
+
+    def step(state):
+        win, res, steps = state
+        base = win[1:]
+        res, steps = (res + 1) % k, min(steps + 1, min_steps)
+        return [(base + (x,), res, steps) for x in get(frozenset(base), ())]
+
+    for e in h.edges:
+        for x in permutations(e):
+            goal = (x, residue % k, min_steps)
+            parents, hit = _bfs([(x, 0, 0)], step, lambda st: st == goal)
+            if hit is not None:
+                return validate_walk(h, _walk_vertices(parents, hit)[:-k], closed=True)
     return None
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tightcycles.cli import main
-from tightcycles.hypergraph import Hypergraph, gen_complete, gen_tight_cycle
+from tightcycles.hypergraph import Hypergraph, HypergraphError, gen_complete, gen_tight_cycle
 from tightcycles.serialize import (
     hypergraph_from_hg,
     hypergraph_from_json,
@@ -179,3 +179,45 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert obj["known_exact"] == "5/9"
         assert obj["upper_linear"] == "3/4"
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with one line on stderr, never 1 (a failed
+    property) and never a traceback."""
+
+    def test_parsers_raise_value_errors(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational_from_str("1/0")
+        with pytest.raises(ValueError):
+            rational_from_str("1/x")
+        for text in ("", "\n\n", "5\n0 1 2\n", "a b\n"):
+            with pytest.raises(HypergraphError, match="header"):
+                hypergraph_from_hg(text)
+
+    def _expect_input_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tightcycles: error: ") and err.count("\n") == 1
+        return err
+
+    def test_empty_hg_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.hg"
+        path.write_text("")
+        self._expect_input_error(["hamilton", str(path)], capsys)
+
+    def test_out_of_range_vertex(self, tmp_path, capsys):
+        path = tmp_path / "bad.hg"
+        path.write_text("4 3\n0 1 7\n")
+        err = self._expect_input_error(["matching", "--input", str(path)], capsys)
+        assert "out of range" in err
+
+    def test_missing_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        self._expect_input_error(["matching", "--input", missing], capsys)
+        self._expect_input_error(["hamilton", missing], capsys)
+
+    def test_zero_denominator_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "random", "--n", "5", "--k", "3", "--p", "1/0"])
+        assert exc.value.code == 2
+        assert "1/0" in capsys.readouterr().err

@@ -191,3 +191,15 @@ class TestClassicalBounds:
         h = graph_from_mask(5, 3, mask)
         for j in (1, 2):
             assert check_kruskal_katona(h, j).conclusion_holds
+
+    def test_kk_bound_is_colex_shadow(self):
+        # the first e k-sets in colex order have the least j-shadow
+        for k in range(2, 5):
+            colex = sorted(combinations(range(7), k), key=lambda s: s[::-1])
+            for e in range(len(colex) + 1):
+                h = Hypergraph(7, k, tuple(colex[:e]))
+                for j in range(1, k):
+                    rep = check_kruskal_katona(h, j)
+                    shadow = {s for edge in colex[:e] for s in combinations(edge, j)}
+                    assert rep.details["bound"] == len(shadow) == rep.details["actual"], (k, e, j)
+                    assert rep.conclusion_holds

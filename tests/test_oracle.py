@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +90,11 @@ class TestHamilton:
         (lambda: random_graph(9, 4, 3, Fraction(3, 5)), "found", 148),
         (lambda: random_graph(11, 3, 4), "found", 366),
         (lambda: random_graph(8, 3, 5, Fraction(1, 3)), "exhausted-none", 160),
+        # two complete 4-graphs meeting in {3, 4, 5}: pairs such as {0, 9}
+        # lie in no edge, so 2-vertex prefixes are cut by the 2-shadow
+        (lambda: Hypergraph(10, 4, tuple(sorted(
+            set(combinations(range(6), 4)) | set(combinations(range(3, 10), 4))))),
+         "exhausted-none", 2246),
     ])
     def test_pinned_node_counts(self, make, outcome, nodes):
         # the search order is part of the scan CSVs, which record nodes

@@ -1,13 +1,16 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slow_walks
 from conftest import graph_from_mask
 from tightcycles.hypergraph import Hypergraph, gen_complete, gen_tight_cycle
 from tightcycles.vicinity import find_switcher
 from tightcycles.walks import (
+    TightWalk,
     WalkError,
     co_walk_oracle,
     find_closed_walk_residue,
@@ -227,3 +230,47 @@ class TestShorten:
         short = shorten_walk_mod_k(h, doubled)
         assert short.residue == doubled.residue
         assert short.length <= 3 * (5 ** 3)
+
+
+def _outcome(fn, *args):
+    """A search's answer in comparable form: walk vertices, a value, or
+    the WalkError it raised."""
+    try:
+        got = fn(*args)
+    except WalkError as err:
+        return ("WalkError", str(err))
+    if isinstance(got, TightWalk):
+        return ("walk", got.vertices, got.closed)
+    return got
+
+
+@st.composite
+def graphs_and_queries(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 7))
+    h = graph_from_mask(n, k, draw(st.integers(0, (1 << comb(n, k)) - 1)))
+    vertices = st.permutations(range(n)).map(lambda p: tuple(p[:k]))
+    picks = st.sampled_from(h.edges).flatmap(
+        lambda e: st.permutations(e).map(tuple)) if h.edges else vertices
+    tuples = st.one_of(picks, vertices)
+    queries = draw(st.lists(st.tuples(tuples, tuples), min_size=1, max_size=4))
+    return h, queries
+
+
+@given(graphs_and_queries(), st.one_of(st.none(), st.integers(0, 4)))
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_reference_searches(case, residue):
+    h, queries = case
+    part = tight_components(h)
+    assert (part.edge_to_component, part.summaries) == slow_walks.tight_components(h)
+    for cid in range(part.num_components):
+        assert part.component_edges(cid) == tuple(
+            sorted(e for e, c in part.edge_to_component.items() if c == cid))
+    assert _outcome(is_strongly_connected, h) == _outcome(slow_walks.is_strongly_connected, h)
+    for r in range(h.k):
+        assert _outcome(find_closed_walk_residue, h, r) == _outcome(
+            slow_walks.find_closed_walk_residue, h, r)
+    for s, t in queries:
+        assert _outcome(co_walk_oracle, h, s, t) == _outcome(slow_walks.co_walk_oracle, h, s, t)
+        assert _outcome(find_tight_walk, h, s, t, residue) == _outcome(
+            slow_walks.find_tight_walk, h, s, t, residue)
