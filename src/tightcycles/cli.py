@@ -2,9 +2,10 @@
 
 Verifier subcommands exit 1 on any failed property; `hamilton` exits 0
 when a cycle is found, 3 on a certified none, 4 on timeout.  Input
-errors (a missing or unreadable file, a malformed hypergraph, an
-out-of-range vertex, a bad rational such as "1/0") exit 2 with a
-one-line message on stderr.
+errors (a missing or unreadable file, a malformed hypergraph, walk or
+demand file, an out-of-range vertex, a bad rational such as "1/0", a
+graph too small for a Hamilton cycle, parameters outside a
+construction's range) exit 2 with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ def _rationals(s: str) -> list[Fraction]:
     return [rational_from_str(x) for x in s.split(",")]
 
 
+def _ints(s: str) -> list[int]:
+    return [int(x) for x in s.split(",")]
+
+
 def _load(path: str) -> hypergraph.Hypergraph:
     """Load a hypergraph file; malformed content becomes an input error
     (an OSError from opening it reaches main as it is)."""
@@ -44,6 +49,46 @@ def _load(path: str) -> hypergraph.Hypergraph:
         return load_hypergraph(path)
     except ValueError as err:
         raise _InputError(f"{path}: {err}") from None
+
+
+def _load_json(path: str, parse):
+    """Read a JSON side file and parse it; malformed JSON, or a ValueError
+    from `parse`, becomes an input error."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(json.loads(text))
+    except ValueError as err:
+        raise _InputError(f"{path}: {err}") from None
+
+
+def _walk_payload(obj) -> tuple[list[int], bool]:
+    if not (isinstance(obj, dict) and isinstance(obj.get("closed"), bool)
+            and isinstance(obj.get("vertices"), list)
+            and all(type(v) is int for v in obj["vertices"])):
+        raise ValueError('a walk file holds {"vertices": [int, ...], "closed": true|false}')
+    return obj["vertices"], obj["closed"]
+
+
+def _demands(obj) -> dict[int, Fraction]:
+    if not (isinstance(obj, dict) and all(isinstance(x, str) for x in obj.values())):
+        raise ValueError('a demand file maps vertices to "p/q" strings')
+    return {int(v): rational_from_str(x) for v, x in obj.items()}
+
+
+def _budget(args) -> oracle.SearchBudget:
+    return oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
+
+
+def _write_table(text: str, summary: dict, out) -> int:
+    """The CSV to `out` (standard output without it), then the JSON summary."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    _emit(summary)
+    return 0
 
 
 def _emit(obj) -> None:
@@ -69,10 +114,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_walk_mod(args) -> int:
     h = _load(args.input)
-    with open(args.walk) as fh:
-        payload = json.load(fh)
+    vertices, closed = _load_json(args.walk, _walk_payload)
     try:
-        walk = walks.validate_walk(h, payload["vertices"], payload["closed"])
+        walk = walks.validate_walk(h, vertices, closed)
     except walks.WalkError as err:
         _emit({"valid": False, "error": str(err)})
         return 1
@@ -89,9 +133,7 @@ def _cmd_walk_mod(args) -> int:
 def _cmd_matching(args) -> int:
     h = _load(args.input)
     if args.b:
-        with open(args.b) as fh:
-            raw = json.load(fh)
-        b = {int(v): rational_from_str(x) for v, x in raw.items()}
+        b = _load_json(args.b, _demands)
     else:
         b = matching.uniform_weighting(h)
     value, assign, cover = matching.lp_matching(h, b)
@@ -153,8 +195,9 @@ def _cmd_clean(args) -> int:
 
 def _cmd_hamilton(args) -> int:
     h = _load(args.input)
-    budget = oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
-    result = oracle.find_tight_hamilton(h, budget)
+    if h.n < h.k + 1:
+        raise _InputError(f"{args.input}: a Hamilton cycle needs n >= k+1 (n={h.n}, k={h.k})")
+    result = oracle.find_tight_hamilton(h, _budget(args))
     out = {"outcome": result.outcome, "nodes": result.nodes, "seconds": result.seconds}
     if result.outcome == "found":
         out["cycle"] = serialize.walk_to_json(result.cycle.vertices, True)
@@ -163,36 +206,20 @@ def _cmd_hamilton(args) -> int:
 
 
 def _cmd_scan_threshold(args) -> int:
-    budget = oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
-    n_list = [int(s) for s in args.n.split(",")]
     rows, summary = experiments.scan_threshold(
-        args.k, args.d, n_list, args.grid, args.trials, args.seed, budget
+        args.k, args.d, args.n, args.grid, args.trials, args.seed, _budget(args)
     )
-    text = experiments.scan_rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    _emit(summary)
-    return 0
+    return _write_table(experiments.scan_rows_to_csv(rows), summary, args.out)
 
 
 def _cmd_eg_scan(args) -> int:
     rows, summary = experiments.eg_scan(args.ell, args.n, args.grid, args.trials, args.seed)
-    text = experiments.eg_rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    _emit(summary)
-    return 0
+    return _write_table(experiments.eg_rows_to_csv(rows), summary, args.out)
 
 
 def _cmd_thresholds(args) -> int:
     table = constructions.threshold_formulas(args.k, args.d)
-    _emit({
+    out = {
         "k": table.k,
         "d": table.d,
         "ell": table.ell,
@@ -203,7 +230,17 @@ def _cmd_thresholds(args) -> int:
         "upper_linear": table.upper_linear,
         "lower_construction": table.lower_construction,
         "known_exact": table.known_exact,
-    })
+    }
+    if args.n:
+        try:
+            degrees = [(n, constructions.space_barrier_min_degree(n, args.k, args.d)) for n in args.n]
+        except hypergraph.HypergraphError as err:
+            raise _InputError(f"--n: {err} (1 <= d <= k-2 and n >= 2k)") from None
+        limit = constructions.construction_limit(args.k, args.d)
+        out["space_barrier"] = {"limit": limit, "rows": [
+            {"n": n, "min_rel_degree": deg, "gap_to_limit": abs(deg - limit)} for n, deg in degrees
+        ]}
+    _emit(out)
     return 0
 
 
@@ -275,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-threshold", help="threshold scan experiment")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", required=True, help="comma-separated vertex counts")
+    p.add_argument("--n", type=_ints, required=True, help="comma-separated vertex counts")
     p.add_argument("--grid", type=_rationals, required=True, help="comma-separated 'p/q' degrees")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -296,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="exact threshold bound table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_ints, help="comma-separated vertex counts: tabulate the "
+                   "space barrier's exact minimum relative degree against its limit")
     p.set_defaults(func=_cmd_thresholds)
     return parser
 

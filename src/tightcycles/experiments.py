@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -24,11 +24,34 @@ from .vicinity import select_component
 
 SCAN_CSV_VERSION = "tightcycles-scan-v1"
 EG_CSV_VERSION = "tightcycles-eg-v1"
+_SCAN_GUARD = 14
 
 
 def derive_seed(master: int, *parts) -> int:
     key = ":".join([str(master)] + [str(p) for p in parts]).encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def _csv_cell(value):
+    if isinstance(value, Fraction):
+        return rational_to_str(value)
+    if isinstance(value, bool):
+        return int(value)
+    return "" if value is None else value
+
+
+def _rows_to_csv(version: str, row_type: type, rows: Sequence) -> str:
+    """A version comment line, a header of the row dataclass's field
+    names, then one line per row: Fractions as "p/q", bools as 0/1 and
+    None as an empty cell."""
+    names = [f.name for f in fields(row_type)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["#" + version])
+    writer.writerow(names)
+    for r in rows:
+        writer.writerow([_csv_cell(getattr(r, name)) for name in names])
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -44,9 +67,6 @@ class ScanRow:
     nodes: int
 
 
-_SCAN_FIELDS = ["n", "k", "d", "delta", "trial", "seed", "min_rel_degree", "outcome", "nodes"]
-
-
 def scan_threshold(
     k: int,
     d: int,
@@ -55,7 +75,6 @@ def scan_threshold(
     trials: int,
     seed: int,
     budget: SearchBudget = SearchBudget(),
-    n_guard: int = 14,
 ) -> tuple[list[ScanRow], dict]:
     """Generate-certify-search over the (n, delta) grid.
 
@@ -63,8 +82,8 @@ def scan_threshold(
     are independent of execution order.  Returns rows plus a summary
     with per-cell Hamiltonicity rates.
     """
-    if k == 3 and any(n > n_guard for n in n_list):
-        raise ValueError(f"scan guard: n must be <= {n_guard} for k=3")
+    if k == 3 and any(n > _SCAN_GUARD for n in n_list):
+        raise ValueError(f"scan guard: n must be <= {_SCAN_GUARD} for k=3")
     rows: list[ScanRow] = []
     rates: dict[tuple[int, str], Fraction] = {}
     for n in n_list:
@@ -91,16 +110,7 @@ def scan_threshold(
 
 
 def scan_rows_to_csv(rows: Sequence[ScanRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["#" + SCAN_CSV_VERSION])
-    writer.writerow(_SCAN_FIELDS)
-    for r in rows:
-        writer.writerow([
-            r.n, r.k, r.d, rational_to_str(r.delta), r.trial, r.seed,
-            rational_to_str(r.min_rel_degree), r.outcome, r.nodes,
-        ])
-    return buf.getvalue()
+    return _rows_to_csv(SCAN_CSV_VERSION, ScanRow, rows)
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,6 @@ class EgRow:
     matching_density: Fraction
     edge_density: Fraction
     pair_common_edge: Optional[bool]
-
-
-_EG_FIELDS = [
-    "ell", "n", "density", "trial", "seed", "strategy", "component_edges",
-    "connected", "matching_density", "edge_density", "pair_common_edge",
-]
 
 
 def eg_scan(
@@ -183,15 +187,4 @@ def eg_scan(
 
 
 def eg_rows_to_csv(rows: Sequence[EgRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["#" + EG_CSV_VERSION])
-    writer.writerow(_EG_FIELDS)
-    for r in rows:
-        writer.writerow([
-            r.ell, r.n, rational_to_str(r.density), r.trial, r.seed, r.strategy,
-            r.component_edges, int(r.connected), rational_to_str(r.matching_density),
-            rational_to_str(r.edge_density),
-            "" if r.pair_common_edge is None else int(r.pair_common_edge),
-        ])
-    return buf.getvalue()
+    return _rows_to_csv(EG_CSV_VERSION, EgRow, rows)

@@ -41,8 +41,8 @@ class CoverCertificate:
     objective: Fraction
 
 
-def uniform_weighting(h: Hypergraph, value=1) -> dict[int, Fraction]:
-    return {v: Fraction(value) for v in range(h.n)}
+def uniform_weighting(h: Hypergraph) -> dict[int, Fraction]:
+    return {v: Fraction(1) for v in range(h.n)}
 
 
 def _loads(h: Hypergraph, w: dict[tuple[int, ...], Fraction]) -> dict[int, Fraction]:
@@ -100,26 +100,18 @@ def lp_matching(h: Hypergraph, b: dict[int, Fraction]) -> tuple[Fraction, Fracti
     return value, FractionalAssignment(w, loads), CoverCertificate(cover, dual_obj)
 
 
-def matching_density(h: Hypergraph, value: Fraction) -> Fraction:
-    """Matching size divided by the number of host vertices."""
-    if h.n == 0:
-        return Fraction(0)
-    return value / h.n
-
-
 _MATCHING_GUARD = 5000
 
 
-def max_matching_exact(h: Hypergraph, guard: int = _MATCHING_GUARD,
-                       use_lp_bound: bool = True) -> tuple[int, list[tuple[int, ...]]]:
+def max_matching_exact(h: Hypergraph, use_lp_bound: bool = True) -> tuple[int, list[tuple[int, ...]]]:
     """Exact maximum integral matching by branch and bound.
 
     Branches on the lexicographically least remaining edge; prunes with
     the free-vertex bound and (optionally) the LP optimum rounded down,
     computed once at the root.
     """
-    if h.num_edges() > guard:
-        raise MatchingError(f"instance exceeds the matching guard ({guard} edges)")
+    if h.num_edges() > _MATCHING_GUARD:
+        raise MatchingError(f"instance exceeds the matching guard ({_MATCHING_GUARD} edges)")
     if not h.edges:
         return 0, []
     if use_lp_bound:
@@ -171,11 +163,7 @@ class RobustMatchReport:
 _CORNER_GUARD = 16
 
 
-def is_robustly_matchable(
-    h: Hypergraph,
-    gamma: Fraction,
-    guard: int = _CORNER_GUARD,
-) -> RobustMatchReport:
+def is_robustly_matchable(h: Hypergraph, gamma: Fraction) -> RobustMatchReport:
     """Decide whether every b in [1-gamma, 1]^V admits a perfect
     b-fractional matching.
 
@@ -183,14 +171,14 @@ def is_robustly_matchable(
     is convex (linear image of a cone), so feasibility at all 2^n box
     corners certifies the whole box.  Corners are enumerated by ascending
     bitmask (set bit = demand 1-gamma); the first infeasible corner is
-    returned.  Above the guard (n > guard) it raises MatchingError.
+    returned.  Above the corner guard (n > 16) it raises MatchingError.
     """
     gamma = Fraction(gamma)
     if not (0 <= gamma < 1):
         raise MatchingError("gamma must lie in [0, 1)")
     n = h.n
-    if n > guard:
-        raise MatchingError(f"n={n} exceeds the corner guard ({guard})")
+    if n > _CORNER_GUARD:
+        raise MatchingError(f"n={n} exceeds the corner guard ({_CORNER_GUARD})")
     A = _incidence(h)
     low = 1 - gamma
     for mask in range(1 << n):

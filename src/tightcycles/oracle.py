@@ -57,12 +57,17 @@ class _Searcher:
             if time.monotonic() - self.start_time > self.budget.max_seconds:
                 raise _BudgetExceeded
 
-    def search(self, length: int, start: int, allowed: Sequence[int]) -> Optional[tuple[int, ...]]:
+    def result(self, outcome: str, cycle: Optional[TightWalk] = None) -> HamiltonResult:
+        return HamiltonResult(outcome, cycle, self.nodes, time.monotonic() - self.start_time)
+
+    def search(self, length: int, start: int) -> Optional[tuple[int, ...]]:
+        """A canonical tight cycle on `length` vertices whose least vertex
+        is `start`, or None."""
         k = self.h.k
         successors = self.successors
         seq = [start]
         used = {start}
-        pool = sorted(allowed)
+        above = range(start + 1, self.h.n)
 
         def is_prefix(vs: list[int]) -> bool:
             # (k-1)-prefixes are windows; shorter ones (k >= 4) are shadow sets
@@ -87,9 +92,9 @@ class _Searcher:
             if p >= k - 1:
                 cands = successors(frozenset(seq[-(k - 1):]), ())
             else:
-                cands = pool
+                cands = above
             for x in cands:
-                if x in used or x not in pool_set:
+                if x <= start or x in used:
                     continue
                 if p < k - 1 and not is_prefix(seq + [x]):
                     continue
@@ -102,7 +107,6 @@ class _Searcher:
                     return got
             return None
 
-        pool_set = set(pool)
         return extend()
 
 
@@ -110,43 +114,32 @@ def find_tight_hamilton(h: Hypergraph, budget: SearchBudget = SearchBudget()) ->
     """Tight Hamilton cycle or a completeness certificate of absence."""
     if h.n < h.k + 1:
         raise HypergraphError("Hamilton cycles need n >= k+1")
-    searcher = _Searcher(h, budget)
-    try:
-        got = searcher.search(h.n, 0, range(h.n))
-    except _BudgetExceeded:
-        return HamiltonResult("timeout", None, searcher.nodes,
-                              time.monotonic() - searcher.start_time)
-    elapsed = time.monotonic() - searcher.start_time
-    if got is None:
-        return HamiltonResult("exhausted-none", None, searcher.nodes, elapsed)
-    cycle = validate_walk(h, got, closed=True)
-    if len(set(got)) != h.n:
-        raise WalkError(f"search returned a closed walk on {len(set(got))} of {h.n} vertices")
-    return HamiltonResult("found", cycle, searcher.nodes, elapsed)
+    return find_tight_cycle(h, h.n, budget)
 
 
 def find_tight_cycle(h: Hypergraph, length: int,
                      budget: SearchBudget = SearchBudget()) -> HamiltonResult:
     """Tight cycle on exactly `length` distinct vertices, or certified none.
 
-    Canonical form: the least vertex of the cycle comes first, so each
-    start vertex is tried against the pool of larger vertices only.
+    Canonical form: the least vertex of the cycle comes first, so a start
+    vertex needs length - 1 larger vertices; at full length only vertex 0
+    can start a cycle.
     """
     if not (h.k + 1 <= length <= h.n):
         raise HypergraphError(f"cycle length must lie in [{h.k + 1}, {h.n}]")
     searcher = _Searcher(h, budget)
     try:
-        for start in range(h.n):
-            got = searcher.search(length, start, range(start + 1, h.n))
+        for start in range(h.n - length + 1):
+            got = searcher.search(length, start)
             if got is not None:
                 cycle = validate_walk(h, got, closed=True)
-                return HamiltonResult("found", cycle, searcher.nodes,
-                                      time.monotonic() - searcher.start_time)
+                if len(set(got)) != length:
+                    raise WalkError(
+                        f"search returned a closed walk on {len(set(got))} of {length} vertices")
+                return searcher.result("found", cycle)
     except _BudgetExceeded:
-        return HamiltonResult("timeout", None, searcher.nodes,
-                              time.monotonic() - searcher.start_time)
-    return HamiltonResult("exhausted-none", None, searcher.nodes,
-                          time.monotonic() - searcher.start_time)
+        return searcher.result("timeout")
+    return searcher.result("exhausted-none")
 
 
 @dataclass(frozen=True)

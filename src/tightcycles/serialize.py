@@ -29,7 +29,13 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
     return {"n": h.n, "k": h.k, "edges": [list(e) for e in h.edges]}
 
 
-def hypergraph_from_json(obj: dict) -> Hypergraph:
+def hypergraph_from_json(obj) -> Hypergraph:
+    """Inverse of hypergraph_to_json; HypergraphError for any other shape."""
+    if not (isinstance(obj, dict) and type(obj.get("n")) is int and type(obj.get("k")) is int
+            and isinstance(obj.get("edges"), list)
+            and all(isinstance(e, list) and all(type(v) is int for v in e) for e in obj["edges"])):
+        raise HypergraphError('a hypergraph JSON object holds integers "n", "k" '
+                              'and "edges", a list of integer lists')
     h, _ = build_hypergraph(obj["n"], obj["k"], obj["edges"])
     return h
 

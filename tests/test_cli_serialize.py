@@ -1,9 +1,15 @@
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tightcycles.cli import main
+from tightcycles import oracle
+from tightcycles.cli import build_parser, main
 from tightcycles.hypergraph import Hypergraph, HypergraphError, gen_complete, gen_tight_cycle
 from tightcycles.serialize import (
     hypergraph_from_hg,
@@ -18,6 +24,7 @@ from tightcycles.serialize import (
     vicinity_to_json,
     walk_to_json,
 )
+from tightcycles.walks import WalkError
 
 
 class TestSerialize:
@@ -176,9 +183,24 @@ class TestCli:
 
     def test_thresholds(self, capsys):
         assert main(["thresholds", "--k", "3", "--d", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "k": 3, "d": 1, "ell": 2,
+            "upper_general": {"form": "(1/2)^(1/2)", "approx": 0.7071067811865476},
+            "upper_linear": "3/4",
+            "lower_construction": "5/9",
+            "known_exact": "5/9",
+        }
+
+    def test_thresholds_space_barrier_table(self, capsys):
+        assert main(["thresholds", "--k", "3", "--d", "1", "--n", "9,12,30,300"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["known_exact"] == "5/9"
-        assert obj["upper_linear"] == "3/4"
+        assert obj["space_barrier"] == {"limit": "5/9", "rows": [
+            {"n": 9, "min_rel_degree": "13/28", "gap_to_limit": "23/252"},
+            {"n": 12, "min_rel_degree": "27/55", "gap_to_limit": "32/495"},
+            {"n": 30, "min_rel_degree": "108/203", "gap_to_limit": "43/1827"},
+            {"n": 300, "min_rel_degree": "24651/44551", "gap_to_limit": "896/400959"},
+        ]}
 
 
 class TestInputErrors:
@@ -221,3 +243,104 @@ class TestInputErrors:
             main(["gen", "random", "--n", "5", "--k", "3", "--p", "1/0"])
         assert exc.value.code == 2
         assert "1/0" in capsys.readouterr().err
+
+    def test_malformed_walk_json(self, tmp_path, capsys):
+        gpath = str(tmp_path / "c5.json")
+        save_hypergraph(gen_tight_cycle(5, 3), gpath)
+        for i, text in enumerate(('{"vertices": [0, 1', '[0, 1, 2]', '{"vertices": ["a"], "closed": true}')):
+            wpath = tmp_path / f"w{i}.json"
+            wpath.write_text(text)
+            self._expect_input_error(["walk-mod", "--input", gpath, "--walk", str(wpath)], capsys)
+
+    def test_zero_denominator_demand(self, k6_path, tmp_path, capsys):
+        bpath = tmp_path / "b.json"
+        bpath.write_text(json.dumps({"0": "1/0"}))
+        err = self._expect_input_error(["matching", "--input", k6_path, "--b", str(bpath)], capsys)
+        assert "zero denominator" in err
+
+    def test_non_integer_vertex_list(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-threshold", "--k", "3", "--d", "1", "--n", "a",
+                  "--grid", "1/2", "--trials", "1"])
+        assert exc.value.code == 2
+
+    def test_hamilton_below_k_plus_one(self, tmp_path, capsys):
+        path = tmp_path / "e.hg"
+        path.write_text("3 3\n0 1 2\n")
+        err = self._expect_input_error(["hamilton", str(path)], capsys)
+        assert "n >= k+1" in err
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 4, "edges": [[0, 1, 2]]},
+        [[0, 1, 2]],
+        {"n": 4, "k": 2, "edges": [["a", 1]]},
+        {"n": 4, "k": 1, "edges": [3]},
+    ])
+    def test_malformed_json_hypergraph(self, obj, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        err = self._expect_input_error(["matching", "--input", str(path)], capsys)
+        assert '"edges"' in err
+
+    def test_space_barrier_outside_range(self, capsys):
+        for argv in (["--k", "3", "--d", "1", "--n", "9,5"], ["--k", "3", "--d", "2", "--n", "9"]):
+            err = self._expect_input_error(["thresholds", *argv], capsys)
+            assert "n >= 2k" in err
+
+    def test_library_faults_are_not_input_errors(self, k6_path, monkeypatch):
+        # a failed certificate inside the library is a bug, not bad input
+        def broken(h, budget):
+            raise WalkError("search returned a closed walk on 4 of 6 vertices")
+        monkeypatch.setattr(oracle, "find_tight_hamilton", broken)
+        with pytest.raises(WalkError):
+            main(["hamilton", k6_path])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "k", "edges", "x"]), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestSerializeFuzz:
+    """Arbitrary input yields a hypergraph or a ValueError, nothing else."""
+
+    @given(st.text(alphabet="0123456789 -\nab/", max_size=40) | st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_hg_text(self, text):
+        try:
+            h = hypergraph_from_hg(text)
+        except ValueError:
+            return
+        assert isinstance(h, Hypergraph)
+
+    @given(_JSON | st.fixed_dictionaries({"n": _JSON, "k": _JSON, "edges": _JSON}))
+    @settings(max_examples=300, deadline=None)
+    def test_json_value(self, obj):
+        try:
+            h = hypergraph_from_json(obj)
+        except ValueError:
+            return
+        assert isinstance(h, Hypergraph)
+        assert hypergraph_from_json(hypergraph_to_json(h)) == h
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    return [line.strip() for block in blocks for line in block.splitlines() if line.strip()]
+
+
+class TestReadme:
+    def test_commands_are_cli_or_tooling(self):
+        # a README line that runs a script could point at one that is gone
+        for line in _readme_commands():
+            assert line.split()[0] in ("tightcycles", "pip", "pytest"), line
+
+    def test_cli_lines_parse(self):
+        lines = [ln for ln in _readme_commands() if ln.startswith("tightcycles ")]
+        assert lines
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -106,3 +107,32 @@ class TestEgScan:
             eg_scan(2, 40, [Fraction(1)], 1, 0)
         with pytest.raises(ValueError):
             eg_scan(4, 8, [Fraction(1)], 1, 0)
+
+
+class TestCsvBytes:
+    """The CSV bytes are the experiments' public record: these digests
+    were taken before the two tables shared one writer."""
+
+    @pytest.mark.parametrize("ell, n, grid, trials, seed, digest", [
+        # densities 0 (no component), 1/4 (disconnected) and 1/2; pairs
+        # with and without a common edge
+        (2, 9, [Fraction(0), Fraction(1, 4), Fraction(1, 2)], 4, 3,
+         "37088fa86ce5a7f9f7fc6eb928f5679be6f1ecfb1a77554dedfe5fe66ccd1c99"),
+        (3, 8, [Fraction(1, 10), Fraction(1, 2)], 2, 7,
+         "11eac71bfbfff04932863c2e90233b1723f736bdf81d8f71cc143e09334ac4ea"),
+    ])
+    def test_eg_digest(self, ell, n, grid, trials, seed, digest):
+        rows, _ = eg_scan(ell, n, grid, trials, seed)
+        assert any(not r.connected for r in rows)
+        assert any(r.pair_common_edge is None for r in rows)
+        assert hashlib.sha256(eg_rows_to_csv(rows).encode()).hexdigest() == digest
+
+    def test_empty_tables(self):
+        assert eg_rows_to_csv([]) == (
+            "#tightcycles-eg-v1\n"
+            "ell,n,density,trial,seed,strategy,component_edges,connected,"
+            "matching_density,edge_density,pair_common_edge\n"
+        )
+        assert scan_rows_to_csv([]) == (
+            "#tightcycles-scan-v1\nn,k,d,delta,trial,seed,min_rel_degree,outcome,nodes\n"
+        )

@@ -125,6 +125,22 @@ class TestShortCycles:
         assert res.cycle.length == 5
         validate_walk(gen_complete(8, 3), res.cycle.vertices, closed=True)
 
+    @given(st.integers(4, 7), st.integers(0, 10**6), st.sampled_from(
+        [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]))
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_naive_ordered_subsets(self, n, seed, p):
+        h = random_graph(n, 3, seed, p)
+        for length in range(4, n + 1):
+            naive = any(
+                all(h.has_edge(seq[(i + j) % length] for j in range(3)) for i in range(length))
+                for seq in permutations(range(n), length)
+            )
+            res = find_tight_cycle(h, length)
+            assert res.outcome != "timeout"
+            assert (res.outcome == "found") == naive, (length, res.outcome)
+            if naive:
+                assert len(set(res.cycle.vertices)) == length
+
 
 class TestGadget:
     def test_complete_host_finds_gadget(self):
