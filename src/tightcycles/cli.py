@@ -4,8 +4,10 @@ Verifier subcommands exit 1 on any failed property; `hamilton` exits 0
 when a cycle is found, 3 on a certified none, 4 on timeout.  Input
 errors (a missing or unreadable file, a malformed hypergraph, walk or
 demand file, an out-of-range vertex, a bad rational such as "1/0", a
-graph too small for a Hamilton cycle, parameters outside a
-construction's range) exit 2 with a one-line message on stderr.
+graph too small for a Hamilton cycle, an option value outside the range
+the library accepts) exit 2 with a one-line message on stderr.  Ranges
+are checked here rather than by catching the library's exceptions,
+which share their types with failed certificates.
 """
 
 from __future__ import annotations
@@ -73,7 +75,24 @@ def _walk_payload(obj) -> tuple[list[int], bool]:
 def _demands(obj) -> dict[int, Fraction]:
     if not (isinstance(obj, dict) and all(isinstance(x, str) for x in obj.values())):
         raise ValueError('a demand file maps vertices to "p/q" strings')
-    return {int(v): rational_from_str(x) for v, x in obj.items()}
+    b = {int(v): rational_from_str(x) for v, x in obj.items()}
+    if not all(0 <= x <= 1 for x in b.values()):
+        raise ValueError("every demand must lie in [0, 1]")
+    return b
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _InputError(message)
+
+
+def _require_level(d: int, k: int) -> None:
+    _require(1 <= d <= k - 1, f"--d: the degree level must lie in 1..k-1 (d={d}, k={k})")
+
+
+def _require_unit(name: str, x: Fraction, closed: bool) -> None:
+    ok = 0 <= x <= 1 if closed else 0 < x < 1
+    _require(ok, f"--{name}: {rational_to_str(x)} must lie in {'[0, 1]' if closed else '(0, 1)'}")
 
 
 def _budget(args) -> oracle.SearchBudget:
@@ -97,6 +116,15 @@ def _emit(obj) -> None:
 
 
 def _cmd_gen(args) -> int:
+    n, k, d = args.n, args.k, args.d
+    if args.kind == "tight-cycle":
+        _require(n >= k + 1, f"--n: a tight cycle needs n >= k+1 (n={n}, k={k})")
+    elif args.kind == "space-barrier":
+        _require(n >= 2 * k, f"--n: a space barrier needs n >= 2k (n={n}, k={k})")
+        _require(d == k - 1 if args.parity else 1 <= d <= k - 2,
+                 f"--d: a space barrier needs 1 <= d <= k-2, or d = k-1 with --parity (d={d}, k={k})")
+    elif args.kind == "random":
+        _require_unit("p", args.p, closed=True)
     if args.kind == "complete":
         h = hypergraph.gen_complete(args.n, args.k)
     elif args.kind == "tight-cycle":
@@ -134,6 +162,7 @@ def _cmd_matching(args) -> int:
     h = _load(args.input)
     if args.b:
         b = _load_json(args.b, _demands)
+        _require(all(0 <= v < h.n for v in b), f"{args.b}: a demand names a vertex outside [0, {h.n})")
     else:
         b = matching.uniform_weighting(h)
     value, assign, cover = matching.lp_matching(h, b)
@@ -148,6 +177,9 @@ def _cmd_matching(args) -> int:
 
 def _cmd_vicinity(args) -> int:
     r = _load(args.input)
+    _require_level(args.d, r.k)
+    _require_unit("gamma", args.gamma, closed=False)
+    _require_unit("delta", args.delta, closed=False)
     v = vicinity.select_vicinity(r, args.d, args.strategy)
     if args.out:
         with open(args.out, "w") as fh:
@@ -171,6 +203,7 @@ def _cmd_framework(args) -> int:
 
 def _cmd_perturbed(args) -> int:
     r = _load(args.input)
+    _require_level(args.d, r.k)
     report = vicinity.verify_perturbed_degree(r, args.d, args.alpha, args.delta)
     _emit({name: {"passed": c.passed, "witness": repr(c.witness) if c.witness else None}
            for name, c in report.checks.items()})
@@ -180,6 +213,9 @@ def _cmd_perturbed(args) -> int:
 def _cmd_clean(args) -> int:
     r = _load(args.input)
     i = _load(args.perturbed)
+    _require((i.n, i.k) == (r.n, r.k), f"{args.perturbed}: the perturbation must have the same n and k")
+    _require_level(args.d, r.k)
+    _require(0 < args.beta <= 1, f"--beta: {rational_to_str(args.beta)} must lie in (0, 1]")
     result = cleaning.clean(r, i, args.d, args.beta)
     if args.out:
         save_hypergraph(result.r_clean, args.out)
@@ -199,6 +235,8 @@ def _cmd_hamilton(args) -> int:
         raise _InputError(f"{args.input}: a Hamilton cycle needs n >= k+1 (n={h.n}, k={h.k})")
     result = oracle.find_tight_hamilton(h, _budget(args))
     out = {"outcome": result.outcome, "nodes": result.nodes, "seconds": result.seconds}
+    if result.outcome == "exhausted-none":
+        out["certificate"] = "component-lp" if result.certificate else "search"
     if result.outcome == "found":
         out["cycle"] = serialize.walk_to_json(result.cycle.vertices, True)
     _emit(out)
@@ -206,6 +244,13 @@ def _cmd_hamilton(args) -> int:
 
 
 def _cmd_scan_threshold(args) -> int:
+    _require_level(args.d, args.k)
+    for delta in args.grid:
+        _require_unit("grid", delta, closed=True)
+    _require(all(n >= args.k + 1 for n in args.n), f"--n: a Hamilton cycle needs n >= k+1 = {args.k + 1}")
+    if args.k == 3:
+        _require(all(n <= experiments.SCAN_GUARD for n in args.n),
+                 f"--n: the scan guard allows n <= {experiments.SCAN_GUARD} for k = 3")
     rows, summary = experiments.scan_threshold(
         args.k, args.d, args.n, args.grid, args.trials, args.seed, _budget(args)
     )
@@ -218,6 +263,7 @@ def _cmd_eg_scan(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
+    _require_level(args.d, args.k)
     table = constructions.threshold_formulas(args.k, args.d)
     out = {
         "k": table.k,
@@ -232,10 +278,9 @@ def _cmd_thresholds(args) -> int:
         "known_exact": table.known_exact,
     }
     if args.n:
-        try:
-            degrees = [(n, constructions.space_barrier_min_degree(n, args.k, args.d)) for n in args.n]
-        except hypergraph.HypergraphError as err:
-            raise _InputError(f"--n: {err} (1 <= d <= k-2 and n >= 2k)") from None
+        _require(args.d <= args.k - 2 and all(n >= 2 * args.k for n in args.n),
+                 f"--n: the space barrier needs 1 <= d <= k-2 and n >= 2k (d={args.d}, k={args.k})")
+        degrees = [(n, constructions.space_barrier_min_degree(n, args.k, args.d)) for n in args.n]
         limit = constructions.construction_limit(args.k, args.d)
         out["space_barrier"] = {"limit": limit, "rows": [
             {"n": n, "min_rel_degree": deg, "gap_to_limit": abs(deg - limit)} for n, deg in degrees

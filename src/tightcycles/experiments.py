@@ -24,7 +24,7 @@ from .vicinity import select_component
 
 SCAN_CSV_VERSION = "tightcycles-scan-v1"
 EG_CSV_VERSION = "tightcycles-eg-v1"
-_SCAN_GUARD = 14
+SCAN_GUARD = 14
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -82,8 +82,8 @@ def scan_threshold(
     are independent of execution order.  Returns rows plus a summary
     with per-cell Hamiltonicity rates.
     """
-    if k == 3 and any(n > _SCAN_GUARD for n in n_list):
-        raise ValueError(f"scan guard: n must be <= {_SCAN_GUARD} for k=3")
+    if k == 3 and any(n > SCAN_GUARD for n in n_list):
+        raise ValueError(f"scan guard: n must be <= {SCAN_GUARD} for k=3")
     rows: list[ScanRow] = []
     rates: dict[tuple[int, str], Fraction] = {}
     for n in n_list:

@@ -3,6 +3,13 @@
 Searches are complete: an exhausted-none outcome is a certificate that no
 object exists, and budget overruns are reported as timeouts, never as
 negative answers.
+
+The Hamilton search also tries one proof of absence that needs no
+search.  The n edges of a tight Hamilton cycle lie in one tight
+component T, and weight 1/k on each of them is a perfect fractional
+matching of T, so nu*(T) = n/k.  A fractional vertex cover of value
+below n/k for every component therefore rules the cycle out (weak LP
+duality); verify_no_hamilton_certificate checks such covers from scratch.
 """
 
 from __future__ import annotations
@@ -10,10 +17,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, HypergraphError, window_index
-from .walks import TightWalk, WalkError, validate_walk
+from .matching import lp_matching, uniform_weighting
+from .walks import TightWalk, WalkError, tight_components, validate_walk
 
 
 @dataclass(frozen=True)
@@ -22,16 +31,31 @@ class SearchBudget:
     max_seconds: float = 60.0
 
 
+class CertificateError(ValueError):
+    """Raised when a certificate of absence fails its check."""
+
+
+@dataclass(frozen=True)
+class NoHamiltonCertificate:
+    """A partition of the edges closed under sharing a (k-1)-window, and
+    for each block a fractional vertex cover of value below n/k."""
+
+    components: tuple[tuple[tuple[int, ...], ...], ...]
+    covers: tuple[dict[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class HamiltonResult:
     outcome: str  # "found" | "exhausted-none" | "timeout"
     cycle: Optional[TightWalk]
     nodes: int
     seconds: float
+    # set when the component LPs, not the search, decided "exhausted-none"
+    certificate: Optional[NoHamiltonCertificate] = None
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Stopped(Exception):
+    """The search ends early: at its budget, or proved empty."""
 
 
 class _Searcher:
@@ -42,23 +66,39 @@ class _Searcher:
     (kills rotations and the reflection).
     """
 
-    def __init__(self, h: Hypergraph, budget: SearchBudget):
+    def __init__(self, h: Hypergraph, budget: SearchBudget, certify: bool = False):
         self.h = h
         self.budget = budget
         self.nodes = 0
         self.start_time = time.monotonic()
         self.successors = window_index(h).get
+        # With certify, the component-LP certificate is tried once: when
+        # the node count reaches n*m, the size of its LP tableau, or at the
+        # budget stop if that comes first.
+        self.prove_at = h.n * len(h.edges) if certify else None
+        self.certificate: Optional[NoHamiltonCertificate] = None
 
     def _tick(self):
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetExceeded
-        if self.nodes % 4096 == 0:
-            if time.monotonic() - self.start_time > self.budget.max_seconds:
-                raise _BudgetExceeded
+        if self.nodes == self.prove_at:
+            self._try_proof()
+        if self.nodes > self.budget.max_nodes or (
+                self.nodes % 4096 == 0
+                and time.monotonic() - self.start_time > self.budget.max_seconds):
+            self._try_proof()
+            raise _Stopped
 
-    def result(self, outcome: str, cycle: Optional[TightWalk] = None) -> HamiltonResult:
-        return HamiltonResult(outcome, cycle, self.nodes, time.monotonic() - self.start_time)
+    def _try_proof(self):
+        if self.prove_at is not None:
+            self.prove_at = None
+            self.certificate = _component_lp_certificate(self.h)
+            if self.certificate is not None:
+                raise _Stopped
+
+    def result(self, outcome: str, cycle: Optional[TightWalk] = None,
+               certificate: Optional[NoHamiltonCertificate] = None) -> HamiltonResult:
+        return HamiltonResult(outcome, cycle, self.nodes, time.monotonic() - self.start_time,
+                              certificate)
 
     def search(self, length: int, start: int) -> Optional[tuple[int, ...]]:
         """A canonical tight cycle on `length` vertices whose least vertex
@@ -110,11 +150,86 @@ class _Searcher:
         return extend()
 
 
+def _component_lp_certificate(h: Hypergraph) -> Optional[NoHamiltonCertificate]:
+    """Covers of value below n/k for every tight component, or None.
+
+    A component spanning fewer than n vertices gets 1/k on its span; a
+    spanning one gets the LP dual of nu* with all demands 1, and the
+    first with nu* >= n/k ends the attempt.
+    """
+    n, k = h.n, h.k
+    part = tight_components(h)
+    covers = []
+    for cid, summary in enumerate(part.summaries):
+        edges = part.component_edges(cid)
+        if summary.span < n:
+            covers.append({v: Fraction(1, k) for v in sorted(set().union(*edges))})
+            continue
+        value, _, cover = lp_matching(Hypergraph(n, k, edges), uniform_weighting(h))
+        if value * k >= n:
+            return None
+        covers.append(cover.cover)
+    return NoHamiltonCertificate(part.members, tuple(covers))
+
+
+def verify_no_hamilton_certificate(h: Hypergraph, cert: NoHamiltonCertificate) -> None:
+    """Check a certificate of absence against h alone; raise
+    CertificateError at the first fault.
+
+    The blocks must partition h.edges and be closed: all edges through a
+    (k-1)-window lie in one block, rebuilt here from the edges.  Each
+    cover must be exact, >= 0, put weight >= 1 on every edge of its block
+    and sum to less than n/k.
+    """
+    n, k = h.n, h.k
+    if len(cert.covers) != len(cert.components):
+        raise CertificateError(
+            f"{len(cert.covers)} covers for {len(cert.components)} components")
+    block: dict[tuple[int, ...], int] = {}
+    for cid, edges in enumerate(cert.components):
+        if not edges:
+            raise CertificateError(f"component {cid} is empty")
+        for e in map(tuple, edges):
+            if not h.has_edge(e) or list(e) != sorted(e):
+                raise CertificateError(f"component {cid} holds {e}, not an edge of h")
+            if block.setdefault(e, cid) != cid:
+                raise CertificateError(f"edge {e} lies in components {block[e]} and {cid}")
+    if len(block) != len(h.edges):
+        missing = next(e for e in h.edges if e not in block)
+        raise CertificateError(f"edge {missing} lies in no component")
+    window: dict[tuple[int, ...], int] = {}
+    for e, cid in block.items():
+        for drop in range(k):
+            w = e[:drop] + e[drop + 1:]
+            if window.setdefault(w, cid) != cid:
+                raise CertificateError(
+                    f"window {w} meets components {window[w]} and {cid}: not closed")
+    bound = Fraction(n, k)
+    for cid, (edges, cover) in enumerate(zip(cert.components, cert.covers)):
+        for v, c in cover.items():
+            if type(v) is not int or not 0 <= v < n:
+                raise CertificateError(f"cover {cid} names {v!r}, not a vertex")
+            if not isinstance(c, (int, Fraction)) or c < 0:
+                raise CertificateError(f"cover {cid} gives vertex {v} {c!r}, not an exact value >= 0")
+        for e in edges:
+            if sum(cover.get(v, 0) for v in e) < 1:
+                raise CertificateError(f"cover {cid} puts less than 1 on edge {tuple(e)}")
+        if sum(cover.values(), Fraction(0)) >= bound:
+            raise CertificateError(f"cover {cid} sums to at least n/k = {bound}")
+
+
 def find_tight_hamilton(h: Hypergraph, budget: SearchBudget = SearchBudget()) -> HamiltonResult:
-    """Tight Hamilton cycle or a completeness certificate of absence."""
+    """Tight Hamilton cycle or a certificate of absence.
+
+    The search tries the component-LP certificate once, when it reaches
+    n*m nodes or stops at its budget, whichever is first.  A certificate
+    that holds ends it with "exhausted-none" and the nodes spent so far;
+    it is checked by verify_no_hamilton_certificate before it returns.
+    Otherwise "exhausted-none" means the search ran out.
+    """
     if h.n < h.k + 1:
         raise HypergraphError("Hamilton cycles need n >= k+1")
-    return find_tight_cycle(h, h.n, budget)
+    return _run(_Searcher(h, budget, certify=True), h.n)
 
 
 def find_tight_cycle(h: Hypergraph, length: int,
@@ -123,11 +238,15 @@ def find_tight_cycle(h: Hypergraph, length: int,
 
     Canonical form: the least vertex of the cycle comes first, so a start
     vertex needs length - 1 larger vertices; at full length only vertex 0
-    can start a cycle.
+    can start a cycle.  Only the search decides: no certificate is tried.
     """
     if not (h.k + 1 <= length <= h.n):
         raise HypergraphError(f"cycle length must lie in [{h.k + 1}, {h.n}]")
-    searcher = _Searcher(h, budget)
+    return _run(_Searcher(h, budget), length)
+
+
+def _run(searcher: _Searcher, length: int) -> HamiltonResult:
+    h = searcher.h
     try:
         for start in range(h.n - length + 1):
             got = searcher.search(length, start)
@@ -137,8 +256,11 @@ def find_tight_cycle(h: Hypergraph, length: int,
                     raise WalkError(
                         f"search returned a closed walk on {len(set(got))} of {length} vertices")
                 return searcher.result("found", cycle)
-    except _BudgetExceeded:
-        return searcher.result("timeout")
+    except _Stopped:
+        if searcher.certificate is None:
+            return searcher.result("timeout")
+        verify_no_hamilton_certificate(h, searcher.certificate)
+        return searcher.result("exhausted-none", certificate=searcher.certificate)
     return searcher.result("exhausted-none")
 
 

@@ -166,6 +166,24 @@ class TestCli:
         main(["gen", "complete", "--n", "12", "--k", "3", "--out", kpath])
         assert main(["hamilton", kpath, "--budget-nodes", "3"]) == 4
 
+    def test_hamilton_names_its_proof(self, tmp_path, capsys):
+        def run(spec, *budget):
+            path = str(tmp_path / "g.json")
+            main(["gen", *spec, "--out", path])
+            code = main(["hamilton", path, *budget])
+            return code, json.loads(capsys.readouterr().out)
+
+        # the search runs out at 131 nodes, below n*m = 351
+        code, out = run(["space-barrier", "--n", "9", "--k", "3", "--d", "1"])
+        assert (code, out["outcome"], out["certificate"]) == (3, "exhausted-none", "search")
+        # the component LPs decide when the budget stops the search
+        code, out = run(["space-barrier", "--n", "21", "--k", "3", "--d", "1"], "--budget-nodes", "1000")
+        assert (code, out["outcome"], out["certificate"]) == (3, "exhausted-none", "component-lp")
+        code, out = run(["complete", "--n", "12", "--k", "3"], "--budget-nodes", "5")
+        assert (code, out["outcome"]) == (4, "timeout") and "certificate" not in out
+        code, out = run(["complete", "--n", "7", "--k", "3"])
+        assert (code, out["outcome"]) == (0, "found") and "certificate" not in out
+
     def test_scan_threshold(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")
         assert main(["scan-threshold", "--k", "3", "--d", "1", "--n", "8",
@@ -286,6 +304,53 @@ class TestInputErrors:
         for argv in (["--k", "3", "--d", "1", "--n", "9,5"], ["--k", "3", "--d", "2", "--n", "9"]):
             err = self._expect_input_error(["thresholds", *argv], capsys)
             assert "n >= 2k" in err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["gen", "space-barrier", "--n", "3", "--k", "3", "--d", "1"], "n >= 2k"),
+        (["gen", "space-barrier", "--n", "9", "--k", "3", "--d", "2"], "1 <= d <= k-2"),
+        (["gen", "space-barrier", "--n", "9", "--k", "3", "--d", "1", "--parity"], "d = k-1"),
+        (["gen", "random", "--n", "5", "--k", "3", "--p", "3/2"], "--p: 3/2"),
+        (["gen", "tight-cycle", "--n", "3", "--k", "3"], "n >= k+1"),
+        (["thresholds", "--k", "3", "--d", "5"], "1..k-1"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "20", "--grid", "1/2", "--trials", "1"],
+         "scan guard"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "3", "--grid", "1/2", "--trials", "1"],
+         "n >= k+1"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "8", "--grid", "3/2", "--trials", "1"],
+         "--grid: 3/2"),
+        (["scan-threshold", "--k", "3", "--d", "3", "--n", "8", "--grid", "1/2", "--trials", "1"],
+         "1..k-1"),
+    ])
+    def test_option_outside_range(self, argv, says, capsys):
+        assert says in self._expect_input_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv, says", [
+        (["vicinity", "--d", "7", "--gamma", "1/10", "--delta", "1/2"], "1..k-1"),
+        (["vicinity", "--d", "1", "--gamma", "1", "--delta", "1/2"], "--gamma: 1/1"),
+        (["vicinity", "--d", "1", "--gamma", "1/10", "--delta", "0"], "--delta: 0/1"),
+        (["perturbed", "--d", "7", "--alpha", "1/10", "--delta", "1/2"], "1..k-1"),
+        (["clean", "--perturbed", "K6", "--d", "3", "--beta", "1/4"], "1..k-1"),
+        (["clean", "--perturbed", "K6", "--d", "1", "--beta", "0"], "--beta: 0/1"),
+    ])
+    def test_option_outside_graph_range(self, argv, says, k6_path, capsys):
+        argv = [k6_path if a == "K6" else a for a in argv]
+        assert says in self._expect_input_error([argv[0], "--input", k6_path, *argv[1:]], capsys)
+
+    def test_perturbation_on_other_vertices(self, k6_path, tmp_path, capsys):
+        other = str(tmp_path / "k7.json")
+        save_hypergraph(gen_complete(7, 3), other)
+        err = self._expect_input_error(
+            ["clean", "--input", k6_path, "--perturbed", other, "--d", "1", "--beta", "1/4"], capsys)
+        assert "same n and k" in err
+
+    @pytest.mark.parametrize("demand, says", [
+        ({"0": "3/2"}, "[0, 1]"), ({"0": "-1/2"}, "[0, 1]"), ({"6": "1/2"}, "outside [0, 6)"),
+    ])
+    def test_demand_outside_range(self, demand, says, k6_path, tmp_path, capsys):
+        bpath = tmp_path / "b.json"
+        bpath.write_text(json.dumps(demand))
+        err = self._expect_input_error(["matching", "--input", k6_path, "--b", str(bpath)], capsys)
+        assert says in err
 
     def test_library_faults_are_not_input_errors(self, k6_path, monkeypatch):
         # a failed certificate inside the library is a bug, not bad input

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -5,20 +6,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_mask, random_graph
+from conftest import graph_from_mask, random_graph, seeded_rng
 from tightcycles import oracle
 from tightcycles.constructions import gen_space_barrier
-from tightcycles.hypergraph import Hypergraph, HypergraphError, gen_complete, gen_tight_cycle
+from tightcycles.hypergraph import (
+    Hypergraph,
+    HypergraphError,
+    complement,
+    gen_complete,
+    gen_tight_cycle,
+)
 from tightcycles.oracle import (
     AbsorbingGadget,
+    CertificateError,
     SearchBudget,
     find_absorbing_gadget,
     find_tight_cycle,
     find_tight_hamilton,
     verify_absorption_swap,
     verify_gadget,
+    verify_no_hamilton_certificate,
 )
 from tightcycles.walks import WalkError, validate_walk
+
+
+# (graph, outcome, find_tight_cycle nodes, find_tight_hamilton nodes,
+# certified by the component LPs).  The Hamilton search tries the
+# certificate at n*m nodes, so it ends there on the barriers.
+_PINNED = [
+    (lambda: gen_space_barrier(9, 3, 1), "exhausted-none", 131, 131, False),
+    (lambda: gen_space_barrier(12, 3, 1), "exhausted-none", 1752, 1296, True),
+    (lambda: gen_space_barrier(10, 4, 2), "exhausted-none", 3820, 1050, True),
+    (lambda: gen_space_barrier(10, 4, 1), "exhausted-none", 6250, 1100, True),
+    (lambda: gen_space_barrier(10, 3, 2, parity=True), "exhausted-none", 3890, 600, True),
+    (lambda: random_graph(9, 3, 1), "found", 48, 48, False),
+    (lambda: random_graph(10, 3, 2, Fraction(2, 3)), "found", 17, 17, False),
+    (lambda: random_graph(9, 4, 3, Fraction(3, 5)), "found", 148, 148, False),
+    (lambda: random_graph(11, 3, 4), "found", 366, 366, False),
+    (lambda: random_graph(8, 3, 5, Fraction(1, 3)), "exhausted-none", 160, 160, False),
+    # two complete 4-graphs meeting in {3, 4, 5}: pairs such as {0, 9}
+    # lie in no edge, so 2-vertex prefixes are cut by the 2-shadow
+    (lambda: Hypergraph(10, 4, tuple(sorted(
+        set(combinations(range(6), 4)) | set(combinations(range(3, 10), 4))))),
+     "exhausted-none", 2246, 2246, False),
+]
+
+
+def _perturbed_barrier(n, k, d, t, seed):
+    """SB(n, k, d) plus t seeded edges from its forbidden level (every
+    k-set the barrier leaves out lies on that level)."""
+    h = gen_space_barrier(n, k, d)
+    extra = seeded_rng("barrier", n, k, d, t, seed).sample(complement(h).edges, t)
+    return Hypergraph(n, k, h.edges + tuple(extra))
 
 
 def naive_has_hamilton(h):
@@ -79,27 +118,126 @@ class TestHamilton:
         assert (res.outcome == "found") == naive_has_hamilton(h)
 
 
-    @pytest.mark.parametrize("make, outcome, nodes", [
-        (lambda: gen_space_barrier(9, 3, 1), "exhausted-none", 131),
-        (lambda: gen_space_barrier(12, 3, 1), "exhausted-none", 1752),
-        (lambda: gen_space_barrier(10, 4, 2), "exhausted-none", 3820),
-        (lambda: gen_space_barrier(10, 4, 1), "exhausted-none", 6250),
-        (lambda: gen_space_barrier(10, 3, 2, parity=True), "exhausted-none", 3890),
-        (lambda: random_graph(9, 3, 1), "found", 48),
-        (lambda: random_graph(10, 3, 2, Fraction(2, 3)), "found", 17),
-        (lambda: random_graph(9, 4, 3, Fraction(3, 5)), "found", 148),
-        (lambda: random_graph(11, 3, 4), "found", 366),
-        (lambda: random_graph(8, 3, 5, Fraction(1, 3)), "exhausted-none", 160),
-        # two complete 4-graphs meeting in {3, 4, 5}: pairs such as {0, 9}
-        # lie in no edge, so 2-vertex prefixes are cut by the 2-shadow
-        (lambda: Hypergraph(10, 4, tuple(sorted(
-            set(combinations(range(6), 4)) | set(combinations(range(3, 10), 4))))),
-         "exhausted-none", 2246),
-    ])
+    @pytest.mark.parametrize("make, outcome, nodes",
+                             [(make, outcome, nodes) for make, outcome, nodes, _, _ in _PINNED])
     def test_pinned_node_counts(self, make, outcome, nodes):
         # the search order is part of the scan CSVs, which record nodes
-        res = find_tight_hamilton(make())
-        assert (res.outcome, res.nodes) == (outcome, nodes)
+        h = make()
+        res = find_tight_cycle(h, h.n)
+        assert (res.outcome, res.nodes, res.certificate) == (outcome, nodes, None)
+
+
+class TestNoHamiltonCertificate:
+    @pytest.mark.parametrize("make, outcome, nodes, certified", [
+        (make, outcome, nodes, certified) for make, outcome, _, nodes, certified in _PINNED
+    ] + [(lambda: gen_space_barrier(21, 3, 1), "exhausted-none", 14553, True)])
+    def test_pinned_node_counts(self, make, outcome, nodes, certified):
+        h = make()
+        res = find_tight_hamilton(h)
+        assert (res.outcome, res.nodes, res.certificate is not None) == (outcome, nodes, certified)
+        if certified:
+            # tried once, when the node count reaches n*m
+            assert nodes == h.n * h.num_edges()
+            verify_no_hamilton_certificate(h, res.certificate)
+
+    def test_tried_at_the_budget_stop(self):
+        h = gen_space_barrier(21, 3, 1)
+        res = find_tight_hamilton(h, SearchBudget(max_nodes=1000))
+        assert (res.outcome, res.nodes) == ("exhausted-none", 1001)
+        verify_no_hamilton_certificate(h, res.certificate)
+        assert find_tight_cycle(h, h.n, SearchBudget(max_nodes=1000)).outcome == "timeout"
+
+    def test_failed_proof_is_not_retried(self, monkeypatch):
+        # one tight component on all ten vertices with nu* = 10/4, so the
+        # attempt at n*m = 500 nodes fails and the search goes on to its budget
+        calls = []
+        real = oracle._component_lp_certificate
+        monkeypatch.setattr(oracle, "_component_lp_certificate",
+                            lambda h: calls.append(h.n) or real(h))
+        res = find_tight_hamilton(_PINNED[-1][0](), SearchBudget(max_nodes=1000))
+        assert (res.outcome, res.nodes, calls) == ("timeout", 1001, [10])
+
+    def test_checked_before_return(self, monkeypatch):
+        real = oracle._component_lp_certificate
+
+        def forged(h):
+            cert = real(h)
+            return replace(cert, covers=(cert.covers[0], {}))
+        monkeypatch.setattr(oracle, "_component_lp_certificate", forged)
+        with pytest.raises(CertificateError, match="less than 1"):
+            find_tight_hamilton(gen_space_barrier(12, 3, 1))
+
+    @given(st.integers(6, 9), st.sampled_from([3, 4]), st.integers(0, 10**6),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs_agree_with_search(self, n, k, seed, p):
+        h = random_graph(n, k, seed, p)
+        truth = find_tight_cycle(h, n).outcome
+        assert find_tight_hamilton(h).outcome == truth
+        # a one-node budget makes every longer search try the certificate
+        res = find_tight_hamilton(h, SearchBudget(max_nodes=1))
+        if res.certificate is not None:
+            assert truth == "exhausted-none"
+            verify_no_hamilton_certificate(h, res.certificate)
+        else:
+            assert res.outcome in (truth, "timeout")
+
+    @given(st.sampled_from([(n, 3, 1) for n in range(9, 13)] + [(n, 4, 2) for n in (8, 9, 10)]),
+           st.integers(0, 3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_perturbed_barriers_agree_with_search(self, spec, t, seed):
+        h = _perturbed_barrier(*spec, t, seed)
+        res = find_tight_hamilton(h)
+        assert res.outcome == find_tight_cycle(h, h.n).outcome
+        if res.certificate is not None:
+            verify_no_hamilton_certificate(h, res.certificate)
+
+    def test_unperturbed_barriers_are_certified(self):
+        for spec in [(n, 3, 1) for n in range(12, 18)] + [(n, 4, 2) for n in range(10, 14)]:
+            h = gen_space_barrier(*spec)
+            res = find_tight_hamilton(h)
+            assert res.outcome == "exhausted-none" and res.certificate is not None, spec
+
+    def _real(self):
+        h = gen_space_barrier(12, 3, 1)
+        cert = find_tight_hamilton(h).certificate
+        # component 0 spans all twelve vertices, component 1 is V minus X = {0..3}
+        assert [len(set().union(*c)) for c in cert.components] == [12, 8]
+        return h, cert
+
+    def test_real_certificate_passes(self):
+        verify_no_hamilton_certificate(*self._real())
+
+    @pytest.mark.parametrize("tamper, reason", [
+        # a component split in two: its halves share windows, so not closed
+        (lambda c: replace(c, components=(c.components[0][:26], c.components[0][26:],
+                                          c.components[1]),
+                           covers=(c.covers[0], c.covers[0], c.covers[1])), "not closed"),
+        (lambda c: replace(c, components=(c.components[0][1:], c.components[1])),
+         "lies in no component"),
+        (lambda c: replace(c, components=(c.components[0], c.components[1] + c.components[0][:1])),
+         "lies in components 0 and 1"),
+        (lambda c: replace(c, components=(c.components[0] + ((0, 4, 5),), c.components[1])),
+         "not an edge of h"),
+        (lambda c: replace(c, components=((c.components[0][0][::-1],) + c.components[0][1:],
+                                          c.components[1])), "not an edge of h"),
+        # edge (4, 5, 6) gets 1/3 + 1/3 + 1/3 - 1/100
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 4: Fraction(1, 3) - Fraction(1, 100)})),
+         "less than 1 on edge"),
+        # vertex 0 lies outside component 1, so only the sign is wrong
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 0: Fraction(-1, 100)})),
+         ">= 0"),
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 4: 1 / 3})), "exact"),
+        # 2 + 2 = 4 = n/k exactly
+        (lambda c: replace(c, covers=({**c.covers[0], 4: Fraction(2)}, c.covers[1])), "at least n/k"),
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 12: Fraction(0)})), "not a vertex"),
+        (lambda c: replace(c, covers=c.covers[:1]), "1 covers for 2 components"),
+        (lambda c: replace(c, components=c.components + ((),), covers=c.covers + ({},)), "empty"),
+    ])
+    def test_tampered_certificate_is_rejected(self, tamper, reason):
+        h, cert = self._real()
+        with pytest.raises(CertificateError, match=reason):
+            verify_no_hamilton_certificate(h, tamper(cert))
 
 
 class TestShortCycles:
