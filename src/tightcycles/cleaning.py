@@ -81,13 +81,8 @@ def degree_perturbation(
     grad = gradation(i, beta, root)
     out = set()
     for j in range(1, d + 1):
-        lvl = grad.level(j)
-        if not lvl.edges:
-            continue
-        for e in r.edges:
-            eset = set(e)
-            if any(set(y) <= eset for y in lvl.edges):
-                out.add(e)
+        present = grad.level(j).degree_counts(j)
+        out.update(e for e in r.edges if any(y in present for y in combinations(e, j)))
     return Hypergraph(r.n, r.k, tuple(sorted(out)))
 
 

@@ -95,6 +95,10 @@ def _require_unit(name: str, x: Fraction, closed: bool) -> None:
     _require(ok, f"--{name}: {rational_to_str(x)} must lie in {'[0, 1]' if closed else '(0, 1)'}")
 
 
+def _require_trials(trials: int) -> None:
+    _require(trials >= 1, f"--trials: need at least one trial (trials={trials})")
+
+
 def _budget(args) -> oracle.SearchBudget:
     return oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
@@ -117,6 +121,8 @@ def _emit(obj) -> None:
 
 def _cmd_gen(args) -> int:
     n, k, d = args.n, args.k, args.d
+    _require(k >= 1, f"--k: need k >= 1 (k={k})")
+    _require(n >= 0, f"--n: need n >= 0 (n={n})")
     if args.kind == "tight-cycle":
         _require(n >= k + 1, f"--n: a tight cycle needs n >= k+1 (n={n}, k={k})")
     elif args.kind == "space-barrier":
@@ -247,6 +253,7 @@ def _cmd_scan_threshold(args) -> int:
     _require_level(args.d, args.k)
     for delta in args.grid:
         _require_unit("grid", delta, closed=True)
+    _require_trials(args.trials)
     _require(all(n >= args.k + 1 for n in args.n), f"--n: a Hamilton cycle needs n >= k+1 = {args.k + 1}")
     if args.k == 3:
         _require(all(n <= experiments.SCAN_GUARD for n in args.n),
@@ -258,6 +265,12 @@ def _cmd_scan_threshold(args) -> int:
 
 
 def _cmd_eg_scan(args) -> int:
+    guard = experiments.EG_GUARD.get(args.ell)
+    _require(guard is not None, f"--ell: the eg scan supports l in {{2, 3}} (ell={args.ell})")
+    _require(0 <= args.n <= guard, f"--n: the eg scan guard allows 0 <= n <= {guard} for l = {args.ell}")
+    for density in args.grid:
+        _require_unit("grid", density, closed=True)
+    _require_trials(args.trials)
     rows, summary = experiments.eg_scan(args.ell, args.n, args.grid, args.trials, args.seed)
     return _write_table(experiments.eg_rows_to_csv(rows), summary, args.out)
 

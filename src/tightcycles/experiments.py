@@ -25,6 +25,7 @@ from .vicinity import select_component
 SCAN_CSV_VERSION = "tightcycles-scan-v1"
 EG_CSV_VERSION = "tightcycles-eg-v1"
 SCAN_GUARD = 14
+EG_GUARD = {2: 30, 3: 14}
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -142,14 +143,10 @@ def eg_scan(
     exact).  For l = 2 consecutive trials are paired and additionally
     checked for a common edge between their selected components.
     """
-    if ell == 2:
-        if n > 30:
-            raise ValueError("eg scan guard: n <= 30 for l = 2")
-    elif ell == 3:
-        if n > 14:
-            raise ValueError("eg scan guard: n <= 14 for l = 3")
-    else:
+    if ell not in EG_GUARD:
         raise ValueError("eg scan supports l in {2, 3}")
+    if n > EG_GUARD[ell]:
+        raise ValueError(f"eg scan guard: n <= {EG_GUARD[ell]} for l = {ell}")
     rows: list[EgRow] = []
     for density in density_grid:
         density = Fraction(density)
@@ -169,7 +166,8 @@ def eg_scan(
                 if ell == 2 and trial % 2 == 1:
                     prev = picks.get((trial - 1, strategy))
                     if prev is not None:
-                        pair_common = bool(prev._edge_lookup & comp._edge_lookup)
+                        edges = prev.degree_counts(ell).keys()
+                        pair_common = not edges.isdisjoint(comp.degree_counts(ell))
                 rows.append(EgRow(
                     ell, n, density, trial, tseed, strategy,
                     comp.num_edges(),

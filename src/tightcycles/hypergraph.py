@@ -32,6 +32,8 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 0 or self.k < 0:
+            raise HypergraphError("n and k must be non-negative")
         for e in self.edges:
             if len(e) != self.k:
                 raise HypergraphError(f"edge {e} has size {len(e)}, expected {self.k}")
@@ -44,20 +46,8 @@ class Hypergraph:
         if list(self.edges) != sorted(self.edges):
             object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
-    @property
-    def edge_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.edges)
-
     def has_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self._edge_lookup
-
-    @property
-    def _edge_lookup(self) -> frozenset[tuple[int, ...]]:
-        cached = self.__dict__.get("_edge_lookup_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_lookup_cache"] = cached
-        return cached
+        return tuple(sorted(vertices)) in self.degree_counts(self.k)
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -76,17 +66,21 @@ class Hypergraph:
         Built in one pass over the edges on first use, cached on the
         graph and returned read-only.  j-sets in no edge are absent; the
         keys are exactly the edges of the j-th shadow, and level 0 maps
-        () to e(H) for a nonempty H.
+        () to e(H) for a nonempty H.  Level k maps every edge to 1 and is
+        the graph's edge lookup.
         """
         if j < 0:
             raise HypergraphError(f"degree level {j} is negative")
         cache = self.__dict__.setdefault("_degree_counts_cache", {})
         index = cache.get(j)
         if index is None:
-            counts: dict[tuple[int, ...], int] = {}
-            for e in self.edges:
-                for s in combinations(e, j):
-                    counts[s] = counts.get(s, 0) + 1
+            if j == self.k:
+                counts = dict.fromkeys(self.edges, 1)
+            else:
+                counts = {}
+                for e in self.edges:
+                    for s in combinations(e, j):
+                        counts[s] = counts.get(s, 0) + 1
             index = cache[j] = MappingProxyType(counts)
         return index
 
@@ -112,28 +106,14 @@ class DegreeReport:
 def build_hypergraph(n: int, k: int, edges: Sequence[Sequence[int]]) -> tuple[Hypergraph, int]:
     """Canonicalize raw edge input.
 
-    Returns the hypergraph plus a warning count of silently deduplicated
-    edges.  Out-of-range vertices, wrong-size edges and repeated vertices
-    within an edge raise HypergraphError.
+    Sorts each edge and drops repeated edges, returning the hypergraph
+    plus how many edges were dropped.  The constructor rejects whatever
+    is still malformed (out-of-range vertices, wrong-size edges, repeated
+    vertices within an edge, negative n or k) with HypergraphError.
     """
-    if n < 0 or k < 0:
-        raise HypergraphError("n and k must be non-negative")
-    canon: set[tuple[int, ...]] = set()
-    dupes = 0
-    for raw in edges:
-        if len(raw) != k:
-            raise HypergraphError(f"edge {list(raw)} has size {len(raw)}, expected {k}")
-        if len(set(raw)) != len(raw):
-            raise HypergraphError(f"edge {list(raw)} repeats a vertex")
-        for v in raw:
-            if not (0 <= v < n):
-                raise HypergraphError(f"vertex {v} out of range [0, {n})")
-        e = tuple(sorted(raw))
-        if e in canon:
-            dupes += 1
-        else:
-            canon.add(e)
-    return Hypergraph(n, k, tuple(sorted(canon))), dupes
+    canon = [tuple(sorted(raw)) for raw in edges]
+    unique = tuple(dict.fromkeys(canon))
+    return Hypergraph(n, k, unique), len(canon) - len(unique)
 
 
 def shadow(h: Hypergraph, j: int) -> Hypergraph:
@@ -235,7 +215,7 @@ def edge_density(h: Hypergraph) -> Fraction:
 
 
 def complement(h: Hypergraph) -> Hypergraph:
-    present = h._edge_lookup
+    present = h.degree_counts(h.k)
     out = tuple(e for e in combinations(range(h.n), h.k) if e not in present)
     return Hypergraph(h.n, h.k, out)
 

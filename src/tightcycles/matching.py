@@ -160,7 +160,7 @@ class RobustMatchReport:
     failing_corner: Optional[dict[int, Fraction]] = None
 
 
-_CORNER_GUARD = 16
+CORNER_GUARD = 16
 
 
 def is_robustly_matchable(h: Hypergraph, gamma: Fraction) -> RobustMatchReport:
@@ -177,8 +177,8 @@ def is_robustly_matchable(h: Hypergraph, gamma: Fraction) -> RobustMatchReport:
     if not (0 <= gamma < 1):
         raise MatchingError("gamma must lie in [0, 1)")
     n = h.n
-    if n > _CORNER_GUARD:
-        raise MatchingError(f"n={n} exceeds the corner guard ({_CORNER_GUARD})")
+    if n > CORNER_GUARD:
+        raise MatchingError(f"n={n} exceeds the corner guard ({CORNER_GUARD})")
     A = _incidence(h)
     low = 1 - gamma
     for mask in range(1 << n):

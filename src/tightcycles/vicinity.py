@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
-from .hypergraph import Hypergraph, HypergraphError, link, shadow, shadow_edge_count
-from .matching import is_robustly_matchable, lp_matching, uniform_weighting
+from .hypergraph import Hypergraph, HypergraphError, link, shadow_edge_count
+from .matching import CORNER_GUARD, is_robustly_matchable, lp_matching, uniform_weighting
 from .walks import find_closed_walk_residue, tight_components
 
 
@@ -26,8 +26,9 @@ class Vicinity:
     entries: dict[tuple[int, ...], Hypergraph]
 
     def __post_init__(self):
-        shadow_edges = set(shadow(self.host, self.d).edges)
-        if set(self.entries) != shadow_edges:
+        if not (1 <= self.d <= self.host.k - 1):
+            raise HypergraphError("d out of range")
+        if self.entries.keys() != self.host.degree_counts(self.d).keys():
             raise HypergraphError("vicinity keys must be exactly the d-shadow edges")
         for s, c_s in self.entries.items():
             sset = set(s)
@@ -91,7 +92,7 @@ def select_component(g: Hypergraph, strategy: str = "max-ratio") -> Optional[Hyp
         )
         chosen = part.summaries[best]
         e_l = g.num_edges()
-        e_prev = _lower_shadow_count(g)
+        e_prev = shadow_edge_count(g, g.k - 1)
         if chosen.num_edges * e_prev < e_l * chosen.shadow_edges:
             raise HypergraphError("max-ratio certificate failed")
     return Hypergraph(g.n, g.k, part.component_edges(best))
@@ -103,16 +104,10 @@ def select_vicinity(r: Hypergraph, d: int, strategy: str = "max-ratio") -> Vicin
     if not (1 <= d <= r.k - 1):
         raise HypergraphError("d out of range")
     entries: dict[tuple[int, ...], Hypergraph] = {}
-    for s in shadow(r, d).edges:
+    for s in sorted(r.degree_counts(d)):
         comp = select_component(link(r, s), strategy)
         entries[s] = comp if comp is not None else Hypergraph(r.n, r.k - d, ())
     return Vicinity(r, d, entries)
-
-
-def _lower_shadow_count(g: Hypergraph) -> int:
-    if g.k >= 2:
-        return shadow_edge_count(g, g.k - 1)
-    return 1 if g.edges else 0
 
 
 def verify_switcher(c: Hypergraph, sw: Switcher) -> bool:
@@ -266,10 +261,11 @@ def verify_hamilton_vicinity(
     v2_witness = None
     keys = sorted(v.entries)
     for i, s in enumerate(keys):
+        edges = v.entries[s].degree_counts(k - d).keys()
         for s2 in keys[i + 1:]:
             if adjacent_pairs_only and len(set(s) & set(s2)) != d - 1:
                 continue
-            if not (v.entries[s]._edge_lookup & v.entries[s2]._edge_lookup):
+            if edges.isdisjoint(v.entries[s2].degree_counts(k - d)):
                 v2_witness = (s, s2)
                 break
         if v2_witness:
@@ -357,7 +353,7 @@ def verify_framework(
     checks["F2"] = CheckResult(ncomp == 1, None, ncomp)
     walk = find_closed_walk_residue(hsub, 1) if hsub.edges else None
     checks["F3"] = CheckResult(walk is not None, None, walk)
-    if hsub.edges and v_h <= 16:
+    if hsub.edges and v_h <= CORNER_GUARD:
         rep = is_robustly_matchable(_relabel_to_support(hsub), gamma)
         checks["F4"] = CheckResult(rep.robust, rep.failing_corner, rep)
     else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slow_edges
 from conftest import graph_from_mask, random_graph, seeded_rng
 from tightcycles.cleaning import clean, degree_perturbation, gradation
 from tightcycles.hypergraph import Hypergraph, HypergraphError, gen_complete, shadow
@@ -93,6 +94,20 @@ class TestPerturbation:
     def test_d_range(self):
         with pytest.raises(HypergraphError):
             degree_perturbation(gen_complete(6, 3), gen_complete(6, 3), 3, Fraction(1, 4))
+
+    @given(st.integers(4, 8), st.integers(2, 4), st.integers(0, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_containment(self, n, k, seed, data):
+        # the level index gives the same F as testing every R-edge
+        # against every level edge
+        k = min(k, n - 1)
+        r = random_graph(n, k, seed, p=data.draw(st.sampled_from([Fraction(1, 2), Fraction(1)])))
+        i = random_graph(n, k, seed + 1, p=Fraction(data.draw(st.integers(0, 4)), 8))
+        d = data.draw(st.integers(1, k - 1))
+        beta = Fraction(data.draw(st.integers(1, 12)), 12)
+        root = data.draw(st.integers(1, 3))
+        assert degree_perturbation(r, i, d, beta, root) == slow_edges.degree_perturbation(
+            r, i, d, beta, root)
 
 
 class TestClean:

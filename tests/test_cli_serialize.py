@@ -320,6 +320,21 @@ class TestInputErrors:
          "--grid: 3/2"),
         (["scan-threshold", "--k", "3", "--d", "3", "--n", "8", "--grid", "1/2", "--trials", "1"],
          "1..k-1"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "8", "--grid", "1/2", "--trials", "0"],
+         "--trials"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "8", "--grid", "1/2", "--trials", "-1"],
+         "--trials"),
+        (["eg-scan", "--ell", "4", "--n", "8", "--grid", "1/2", "--trials", "1"], "l in {2, 3}"),
+        (["eg-scan", "--ell", "2", "--n", "40", "--grid", "1/2", "--trials", "1"], "n <= 30"),
+        (["eg-scan", "--ell", "3", "--n", "15", "--grid", "1/2", "--trials", "1"], "n <= 14"),
+        (["eg-scan", "--ell", "2", "--n", "-1", "--grid", "1/2", "--trials", "1"], "0 <= n"),
+        (["eg-scan", "--ell", "2", "--n", "8", "--grid", "3/2", "--trials", "1"], "--grid: 3/2"),
+        (["eg-scan", "--ell", "2", "--n", "8", "--grid", "1/2", "--trials", "0"], "--trials"),
+        (["eg-scan", "--ell", "2", "--n", "8", "--grid", "1/2", "--trials", "-1"], "--trials"),
+        (["gen", "complete", "--n", "5", "--k", "0"], "k >= 1"),
+        (["gen", "complete", "--n", "-1", "--k", "3"], "n >= 0"),
+        (["gen", "random", "--n", "4", "--k", "-1"], "k >= 1"),
+        (["gen", "tight-cycle", "--n", "-1", "--k", "3"], "n >= 0"),
     ])
     def test_option_outside_range(self, argv, says, capsys):
         assert says in self._expect_input_error(argv, capsys)

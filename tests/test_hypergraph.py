@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slow_degree
+import slow_edges
 from conftest import graph_from_mask
 from tightcycles.hypergraph import (
     Hypergraph,
@@ -55,6 +56,35 @@ class TestBuild:
         a, _ = build_hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]])
         b, _ = build_hypergraph(5, 3, [[4, 3, 2], [1, 2, 0]])
         assert a == b
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """(n, k, edges) with wrong sizes, repeated and out-of-range vertices,
+    repeated edges in any vertex order, and negative n or k."""
+    n = draw(st.integers(-1, 6))
+    k = draw(st.integers(-1, 4))
+    size = st.sampled_from([k, k, k, k - 1, k + 1]).filter(lambda s: s >= 0)
+    vertex = st.integers(0, max(n - 1, 0)) | st.integers(-1, n + 1)
+    edges = draw(st.lists(size.flatmap(lambda s: st.lists(vertex, min_size=s, max_size=s)),
+                          max_size=8))
+    if edges:
+        edges += [draw(st.permutations(e)) for e in draw(st.lists(st.sampled_from(edges), max_size=4))]
+    return n, k, draw(st.permutations(edges))
+
+
+@given(raw_edge_lists())
+@settings(max_examples=400, deadline=None)
+def test_build_matches_checking_builder(case):
+    # the constructor alone rejects exactly what the old per-edge checks did
+    n, k, edges = case
+    try:
+        want = slow_edges.build_hypergraph(n, k, edges)
+    except HypergraphError:
+        with pytest.raises(HypergraphError):
+            build_hypergraph(n, k, edges)
+        return
+    assert build_hypergraph(n, k, edges) == want
 
 
 class TestShadow:
@@ -233,7 +263,9 @@ def graphs_and_sets(draw):
 @settings(max_examples=300, deadline=None)
 def test_degree_index_matches_edge_scan(case):
     h, subset = case
+    edges = frozenset(h.edges)
     assert h.degree(subset) == slow_degree.degree(h, subset)
+    assert h.has_edge(subset) == (tuple(sorted(subset)) in edges)
     for j in range(h.k + 2):
         counts = h.degree_counts(j)
         assert counts is h.degree_counts(j)
@@ -242,6 +274,7 @@ def test_degree_index_matches_edge_scan(case):
             assert counts.get(s, 0) == want
             assert (s in counts) == (want > 0)
             assert h.degree(s) == want
+            assert h.has_edge(s) == h.has_edge(s[::-1]) == (s in edges)
         assert len(counts) == sum(1 for s in combinations(range(h.n), j)
                                   if slow_degree.degree(h, s))
         if 1 <= j <= h.k:

@@ -52,6 +52,16 @@ class TestVicinityStructure:
         with pytest.raises(HypergraphError):
             Vicinity(r, 1, {(0,): link(r, {0})})
 
+    @pytest.mark.parametrize("d, entries", [
+        (0, {(): gen_complete(4, 3)}),
+        (3, {e: Hypergraph(4, 0, ((),)) for e in gen_complete(4, 3).edges}),
+        (4, {}),
+    ])
+    def test_level_outside_range_rejected(self, d, entries):
+        # each entry set passes the key and lift checks at its level
+        with pytest.raises(HypergraphError, match="d out of range"):
+            Vicinity(gen_complete(4, 3), d, entries)
+
     def test_link_edge_meeting_base_rejected(self):
         r = gen_complete(4, 3)
         bad = {s: Hypergraph(4, 2, (tuple(sorted((s[0], (s[0] + 1) % 4))),))
