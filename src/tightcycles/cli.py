@@ -243,6 +243,8 @@ def _cmd_hamilton(args) -> int:
     out = {"outcome": result.outcome, "nodes": result.nodes, "seconds": result.seconds}
     if result.outcome == "exhausted-none":
         out["certificate"] = "component-lp" if result.certificate else "search"
+        if result.certificate:
+            out["components"] = len(result.certificate.components)
     if result.outcome == "found":
         out["cycle"] = serialize.walk_to_json(result.cycle.vertices, True)
     _emit(out)

@@ -141,13 +141,6 @@ def construction_limit(k: int, d: int) -> Fraction:
     return 1 - worst
 
 
-_LOWER_TABLE = {
-    1: Fraction(1, 2),
-    2: Fraction(5, 9),
-    3: Fraction(5, 8),
-    4: Fraction(408, 625),
-}
-
 _KNOWN_EXACT = {1: Fraction(1, 2), 2: Fraction(5, 9)}
 
 
@@ -165,16 +158,17 @@ class ThresholdTable:
 def threshold_formulas(k: int, d: int) -> ThresholdTable:
     """Exact bound table for the degree threshold at (k, d).
 
-    Lower bounds for l = k-d in 1..4 come from the fixed constant table;
-    larger l uses the construction's exact limit.  known_exact is set
-    only where equality is established (l = 1 and l = 2).
+    For l = k-d >= 2 the lower bound is the space-barrier construction's
+    exact limit (5/9, 5/8, 409/625, ... for l = 2, 3, 4); l = 1 takes the
+    known exact value 1/2.  known_exact is set only where equality is
+    established (l = 1 and l = 2).
     """
     if not (1 <= d <= k - 1):
         raise HypergraphError("need 1 <= d <= k-1")
     ell = k - d
     upper_general = RootValue(Fraction(1, 2), ell)
     upper_linear = 1 - Fraction(1, 2 * ell)
-    lower = _LOWER_TABLE.get(ell, construction_limit(k, d) if ell >= 2 else None)
+    lower = construction_limit(k, d) if ell >= 2 else _KNOWN_EXACT[1]
     known = _KNOWN_EXACT.get(ell)
     table = ThresholdTable(k, d, ell, upper_general, upper_linear, lower, known)
     checks = [lower <= upper_linear, upper_general >= lower]

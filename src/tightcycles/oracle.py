@@ -9,7 +9,15 @@ search.  The n edges of a tight Hamilton cycle lie in one tight
 component T, and weight 1/k on each of them is a perfect fractional
 matching of T, so nu*(T) = n/k.  A fractional vertex cover of value
 below n/k for every component therefore rules the cycle out (weak LP
-duality); verify_no_hamilton_certificate checks such covers from scratch.
+duality); verify_no_hamilton_certificate checks such covers from scratch,
+in integers over one common denominator per cover.
+
+The proof is triggered in two steps.  At m search nodes (m edges) the
+tight components are computed once, which costs about as much as those
+m nodes.  Two or more components are the sign of a barrier, and the
+proof is tried at once; with one component it waits until n*m nodes,
+the size of its LP tableau.  Either way it is tried once only, or at the
+budget stop if that comes first.
 """
 
 from __future__ import annotations
@@ -18,11 +26,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, HypergraphError, window_index
 from .matching import lp_matching, uniform_weighting
-from .walks import TightWalk, WalkError, tight_components, validate_walk
+from .walks import ComponentPartition, TightWalk, WalkError, tight_components, validate_walk
 
 
 @dataclass(frozen=True)
@@ -72,14 +81,22 @@ class _Searcher:
         self.nodes = 0
         self.start_time = time.monotonic()
         self.successors = window_index(h).get
-        # With certify, the component-LP certificate is tried once: when
-        # the node count reaches n*m, the size of its LP tableau, or at the
-        # budget stop if that comes first.
-        self.prove_at = h.n * len(h.edges) if certify else None
+        # With certify, the tight components are computed when the node
+        # count reaches m; two or more try the component-LP certificate
+        # at once, one defers it to n*m nodes, the size of its LP tableau.
+        # It is tried once, or at the budget stop if that comes first.
+        m = len(h.edges)
+        self.partition_at = m if certify else None
+        self.prove_at = h.n * m if certify else None
+        self.partition: Optional[ComponentPartition] = None
         self.certificate: Optional[NoHamiltonCertificate] = None
 
     def _tick(self):
         self.nodes += 1
+        if self.nodes == self.partition_at:
+            self.partition = tight_components(self.h)
+            if self.partition.num_components >= 2:
+                self._try_proof()
         if self.nodes == self.prove_at:
             self._try_proof()
         if self.nodes > self.budget.max_nodes or (
@@ -91,7 +108,8 @@ class _Searcher:
     def _try_proof(self):
         if self.prove_at is not None:
             self.prove_at = None
-            self.certificate = _component_lp_certificate(self.h)
+            part = self.partition or tight_components(self.h)
+            self.certificate = _component_lp_certificate(self.h, part)
             if self.certificate is not None:
                 raise _Stopped
 
@@ -150,15 +168,16 @@ class _Searcher:
         return extend()
 
 
-def _component_lp_certificate(h: Hypergraph) -> Optional[NoHamiltonCertificate]:
-    """Covers of value below n/k for every tight component, or None.
+def _component_lp_certificate(h: Hypergraph,
+                              part: ComponentPartition) -> Optional[NoHamiltonCertificate]:
+    """Covers of value below n/k for every tight component of h (part),
+    or None.
 
     A component spanning fewer than n vertices gets 1/k on its span; a
     spanning one gets the LP dual of nu* with all demands 1, and the
     first with nu* >= n/k ends the attempt.
     """
     n, k = h.n, h.k
-    part = tight_components(h)
     covers = []
     for cid, summary in enumerate(part.summaries):
         edges = part.component_edges(cid)
@@ -179,7 +198,9 @@ def verify_no_hamilton_certificate(h: Hypergraph, cert: NoHamiltonCertificate) -
     The blocks must partition h.edges and be closed: all edges through a
     (k-1)-window lie in one block, rebuilt here from the edges.  Each
     cover must be exact, >= 0, put weight >= 1 on every edge of its block
-    and sum to less than n/k.
+    and sum to less than n/k.  The last two are integer checks: scaled by
+    the lcm L of the cover's denominators, every edge sum is >= L and k
+    times the total is < n*L.
     """
     n, k = h.n, h.k
     if len(cert.covers) != len(cert.components):
@@ -204,28 +225,31 @@ def verify_no_hamilton_certificate(h: Hypergraph, cert: NoHamiltonCertificate) -
             if window.setdefault(w, cid) != cid:
                 raise CertificateError(
                     f"window {w} meets components {window[w]} and {cid}: not closed")
-    bound = Fraction(n, k)
     for cid, (edges, cover) in enumerate(zip(cert.components, cert.covers)):
         for v, c in cover.items():
             if type(v) is not int or not 0 <= v < n:
                 raise CertificateError(f"cover {cid} names {v!r}, not a vertex")
-            if not isinstance(c, (int, Fraction)) or c < 0:
+            if type(c) not in (int, Fraction) or c < 0:
                 raise CertificateError(f"cover {cid} gives vertex {v} {c!r}, not an exact value >= 0")
+        scale = lcm(*(c.denominator for c in cover.values()))
+        scaled = {v: c.numerator * (scale // c.denominator) for v, c in cover.items()}
         for e in edges:
-            if sum(cover.get(v, 0) for v in e) < 1:
+            if sum(scaled.get(v, 0) for v in e) < scale:
                 raise CertificateError(f"cover {cid} puts less than 1 on edge {tuple(e)}")
-        if sum(cover.values(), Fraction(0)) >= bound:
-            raise CertificateError(f"cover {cid} sums to at least n/k = {bound}")
+        if k * sum(scaled.values()) >= n * scale:
+            raise CertificateError(f"cover {cid} sums to at least n/k = {Fraction(n, k)}")
 
 
 def find_tight_hamilton(h: Hypergraph, budget: SearchBudget = SearchBudget()) -> HamiltonResult:
     """Tight Hamilton cycle or a certificate of absence.
 
-    The search tries the component-LP certificate once, when it reaches
-    n*m nodes or stops at its budget, whichever is first.  A certificate
-    that holds ends it with "exhausted-none" and the nodes spent so far;
-    it is checked by verify_no_hamilton_certificate before it returns.
-    Otherwise "exhausted-none" means the search ran out.
+    At m search nodes the tight components are computed once.  With two
+    or more, the search tries the component-LP certificate there; with
+    one, at n*m nodes.  It is tried once only, or at the budget stop if
+    that comes first.  A certificate that holds ends the search with
+    "exhausted-none" and the nodes spent so far; it is checked by
+    verify_no_hamilton_certificate before it returns.  Otherwise
+    "exhausted-none" means the search ran out.
     """
     if h.n < h.k + 1:
         raise HypergraphError("Hamilton cycles need n >= k+1")

@@ -89,7 +89,7 @@ class _Gate:
 def test_01_threshold_constants():
     with _Gate(1, 1.0):
         expected_lower = {1: Fraction(1, 2), 2: Fraction(5, 9),
-                          3: Fraction(5, 8), 4: Fraction(408, 625)}
+                          3: Fraction(5, 8), 4: Fraction(409, 625)}
         for ell, want in expected_lower.items():
             table = threshold_formulas(ell + 1, 1)
             assert table.lower_construction == want, (ell, table.lower_construction)

@@ -173,12 +173,14 @@ class TestCli:
             code = main(["hamilton", path, *budget])
             return code, json.loads(capsys.readouterr().out)
 
-        # the search runs out at 131 nodes, below n*m = 351
-        code, out = run(["space-barrier", "--n", "9", "--k", "3", "--d", "1"])
+        # the search runs out at 7 nodes, below m = 9
+        code, out = run(["random", "--n", "8", "--k", "3", "--p", "1/4", "--seed", "12"])
         assert (code, out["outcome"], out["certificate"]) == (3, "exhausted-none", "search")
+        assert "components" not in out
         # the component LPs decide when the budget stops the search
-        code, out = run(["space-barrier", "--n", "21", "--k", "3", "--d", "1"], "--budget-nodes", "1000")
+        code, out = run(["space-barrier", "--n", "21", "--k", "3", "--d", "1"], "--budget-nodes", "500")
         assert (code, out["outcome"], out["certificate"]) == (3, "exhausted-none", "component-lp")
+        assert out["components"] == 2
         code, out = run(["complete", "--n", "12", "--k", "3"], "--budget-nodes", "5")
         assert (code, out["outcome"]) == (4, "timeout") and "certificate" not in out
         code, out = run(["complete", "--n", "7", "--k", "3"])

@@ -107,7 +107,7 @@ class TestThresholds:
 
     def test_lower_table(self):
         assert threshold_formulas(4, 1).lower_construction == Fraction(5, 8)
-        assert threshold_formulas(5, 1).lower_construction == Fraction(408, 625)
+        assert threshold_formulas(5, 1).lower_construction == Fraction(409, 625)
 
     def test_upper_bounds(self):
         t = threshold_formulas(3, 1)

@@ -27,18 +27,19 @@ from tightcycles.oracle import (
     verify_gadget,
     verify_no_hamilton_certificate,
 )
-from tightcycles.walks import WalkError, validate_walk
+from tightcycles.walks import WalkError, tight_components, validate_walk
 
 
 # (graph, outcome, find_tight_cycle nodes, find_tight_hamilton nodes,
-# certified by the component LPs).  The Hamilton search tries the
-# certificate at n*m nodes, so it ends there on the barriers.
+# certified by the component LPs).  The barriers have two tight
+# components, so the Hamilton search tries the certificate at m nodes
+# (m edges) and ends there.
 _PINNED = [
-    (lambda: gen_space_barrier(9, 3, 1), "exhausted-none", 131, 131, False),
-    (lambda: gen_space_barrier(12, 3, 1), "exhausted-none", 1752, 1296, True),
-    (lambda: gen_space_barrier(10, 4, 2), "exhausted-none", 3820, 1050, True),
-    (lambda: gen_space_barrier(10, 4, 1), "exhausted-none", 6250, 1100, True),
-    (lambda: gen_space_barrier(10, 3, 2, parity=True), "exhausted-none", 3890, 600, True),
+    (lambda: gen_space_barrier(9, 3, 1), "exhausted-none", 131, 39, True),
+    (lambda: gen_space_barrier(12, 3, 1), "exhausted-none", 1752, 108, True),
+    (lambda: gen_space_barrier(10, 4, 2), "exhausted-none", 3820, 105, True),
+    (lambda: gen_space_barrier(10, 4, 1), "exhausted-none", 6250, 110, True),
+    (lambda: gen_space_barrier(10, 3, 2, parity=True), "exhausted-none", 3890, 60, True),
     (lambda: random_graph(9, 3, 1), "found", 48, 48, False),
     (lambda: random_graph(10, 3, 2, Fraction(2, 3)), "found", 17, 17, False),
     (lambda: random_graph(9, 4, 3, Fraction(3, 5)), "found", 148, 148, False),
@@ -58,6 +59,18 @@ def _perturbed_barrier(n, k, d, t, seed):
     h = gen_space_barrier(n, k, d)
     extra = seeded_rng("barrier", n, k, d, t, seed).sample(complement(h).edges, t)
     return Hypergraph(n, k, h.edges + tuple(extra))
+
+
+def _level_union(n, k, seed):
+    """Seeded edges on two levels |e & X| = a, b with b >= a + 2: no
+    window meets both levels, so there are at least two tight components."""
+    rng = seeded_rng("levels", n, k, seed)
+    x = set(rng.sample(range(n), rng.randint(2, n - 2)))
+    a = rng.randint(0, k - 2)
+    levels = (a, rng.randint(a + 2, k))
+    p = rng.choice([Fraction(1, 2), Fraction(3, 4), Fraction(1)])
+    return Hypergraph(n, k, tuple(e for e in combinations(range(n), k)
+                                  if len(x & set(e)) in levels and rng.random() < p))
 
 
 def naive_has_hamilton(h):
@@ -130,22 +143,27 @@ class TestHamilton:
 class TestNoHamiltonCertificate:
     @pytest.mark.parametrize("make, outcome, nodes, certified", [
         (make, outcome, nodes, certified) for make, outcome, _, nodes, certified in _PINNED
-    ] + [(lambda: gen_space_barrier(21, 3, 1), "exhausted-none", 14553, True)])
+    ] + [(lambda: gen_space_barrier(21, 3, 1), "exhausted-none", 693, True),
+         # one tight component, every edge meets {0, 1}: a cover of value 2 < 9/3
+         (lambda: Hypergraph(9, 3, tuple(e for e in combinations(range(9), 3) if e[0] < 2)),
+          "exhausted-none", 441, True)])
     def test_pinned_node_counts(self, make, outcome, nodes, certified):
         h = make()
         res = find_tight_hamilton(h)
         assert (res.outcome, res.nodes, res.certificate is not None) == (outcome, nodes, certified)
         if certified:
-            # tried once, when the node count reaches n*m
-            assert nodes == h.n * h.num_edges()
+            # tried once: at m nodes with two or more tight components, else at n*m
+            m = h.num_edges()
+            assert nodes == (m if tight_components(h).num_components >= 2 else h.n * m)
             verify_no_hamilton_certificate(h, res.certificate)
 
     def test_tried_at_the_budget_stop(self):
+        # the budget stops the search before m = 693 nodes
         h = gen_space_barrier(21, 3, 1)
-        res = find_tight_hamilton(h, SearchBudget(max_nodes=1000))
-        assert (res.outcome, res.nodes) == ("exhausted-none", 1001)
+        res = find_tight_hamilton(h, SearchBudget(max_nodes=500))
+        assert (res.outcome, res.nodes) == ("exhausted-none", 501)
         verify_no_hamilton_certificate(h, res.certificate)
-        assert find_tight_cycle(h, h.n, SearchBudget(max_nodes=1000)).outcome == "timeout"
+        assert find_tight_cycle(h, h.n, SearchBudget(max_nodes=500)).outcome == "timeout"
 
     def test_failed_proof_is_not_retried(self, monkeypatch):
         # one tight component on all ten vertices with nu* = 10/4, so the
@@ -153,15 +171,34 @@ class TestNoHamiltonCertificate:
         calls = []
         real = oracle._component_lp_certificate
         monkeypatch.setattr(oracle, "_component_lp_certificate",
-                            lambda h: calls.append(h.n) or real(h))
+                            lambda h, part: calls.append(h.n) or real(h, part))
         res = find_tight_hamilton(_PINNED[-1][0](), SearchBudget(max_nodes=1000))
         assert (res.outcome, res.nodes, calls) == ("timeout", 1001, [10])
+
+    def test_one_component_is_partitioned_once(self, monkeypatch):
+        # the same graph: its components are computed once, at m = 50
+        # nodes, and the one LP waits for n*m = 500 nodes
+        current, calls = [], []
+        real_tick = oracle._Searcher._tick
+
+        def tick(searcher):
+            current[:] = [searcher]
+            real_tick(searcher)
+
+        def spy(name, real):
+            return lambda *args: calls.append((name, current[0].nodes)) or real(*args)
+        monkeypatch.setattr(oracle._Searcher, "_tick", tick)
+        monkeypatch.setattr(oracle, "tight_components", spy("components", oracle.tight_components))
+        monkeypatch.setattr(oracle, "lp_matching", spy("lp", oracle.lp_matching))
+        res = find_tight_hamilton(_PINNED[-1][0](), SearchBudget(max_nodes=1000))
+        assert (res.outcome, res.nodes) == ("timeout", 1001)
+        assert calls == [("components", 50), ("lp", 500)]
 
     def test_checked_before_return(self, monkeypatch):
         real = oracle._component_lp_certificate
 
-        def forged(h):
-            cert = real(h)
+        def forged(h, part):
+            cert = real(h, part)
             return replace(cert, covers=(cert.covers[0], {}))
         monkeypatch.setattr(oracle, "_component_lp_certificate", forged)
         with pytest.raises(CertificateError, match="less than 1"):
@@ -191,6 +228,25 @@ class TestNoHamiltonCertificate:
         assert res.outcome == find_tight_cycle(h, h.n).outcome
         if res.certificate is not None:
             verify_no_hamilton_certificate(h, res.certificate)
+
+    @given(st.one_of(
+        st.tuples(st.sampled_from([(n, 3, 1) for n in range(9, 14)] + [(n, 4, 2) for n in (8, 9, 10)]),
+                  st.integers(0, 3), st.integers(0, 10**6)).map(lambda a: _perturbed_barrier(*a[0], *a[1:])),
+        st.tuples(st.integers(7, 10), st.sampled_from([3, 4]), st.integers(0, 10**6))
+        .map(lambda a: _level_union(*a))))
+    @settings(max_examples=40, deadline=None)
+    def test_gate_agrees_with_search(self, h):
+        # a forbidden-level edge joins a barrier's two components, so the
+        # level unions supply most of the graphs with two or more
+        truth = find_tight_cycle(h, h.n)
+        res = find_tight_hamilton(h)
+        m = h.num_edges()
+        if res.certificate is None:
+            assert (res.outcome, res.nodes) == (truth.outcome, truth.nodes)
+            return
+        assert truth.outcome == "exhausted-none" and truth.nodes >= res.nodes
+        assert res.nodes == (m if tight_components(h).num_components >= 2 else h.n * m)
+        verify_no_hamilton_certificate(h, res.certificate)
 
     def test_unperturbed_barriers_are_certified(self):
         for spec in [(n, 3, 1) for n in range(12, 18)] + [(n, 4, 2) for n in range(10, 14)]:
@@ -227,9 +283,20 @@ class TestNoHamiltonCertificate:
         # vertex 0 lies outside component 1, so only the sign is wrong
         (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 0: Fraction(-1, 100)})),
          ">= 0"),
+        # 4/15 + 1/3 + 1/3 = 1 - 1/15 on edge (4, 5, 6), with L = 15
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 4: Fraction(4, 15)})),
+         "puts less than 1"),
+        # int and Fraction mixed, L = 12: 1/4 + 1/3 + 1/3 = 1 - 1/12 on edge (6, 7, 8)
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 4: 1, 5: Fraction(1, 2),
+                                                     6: Fraction(1, 4)})),
+         "cover 1 puts less"),
         (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 4: 1 / 3})), "exact"),
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 4: True})), "vertex 4 True"),
         # 2 + 2 = 4 = n/k exactly
         (lambda c: replace(c, covers=({**c.covers[0], 4: Fraction(2)}, c.covers[1])), "at least n/k"),
+        # 8/3 + 5/6 + 1/2 = 4 = n/k exactly, with L = 6
+        (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 0: Fraction(5, 6),
+                                                     1: Fraction(1, 2)})), "sums to at least"),
         (lambda c: replace(c, covers=(c.covers[0], {**c.covers[1], 12: Fraction(0)})), "not a vertex"),
         (lambda c: replace(c, covers=c.covers[:1]), "1 covers for 2 components"),
         (lambda c: replace(c, components=c.components + ((),), covers=c.covers + ({},)), "empty"),
@@ -238,6 +305,17 @@ class TestNoHamiltonCertificate:
         h, cert = self._real()
         with pytest.raises(CertificateError, match=reason):
             verify_no_hamilton_certificate(h, tamper(cert))
+
+    @pytest.mark.parametrize("cover", [
+        # int and Fraction mixed, L = 6: every edge of V minus X gets >= 1, sum 7/2
+        {4: 1, 5: Fraction(1, 2), **{v: Fraction(1, 3) for v in range(6, 12)}},
+        # edge (4, 5, 6) gets exactly 1 and the total is 4 - 1/6, just below
+        # n/k, with L = 6 above every denominator
+        {4: 0, **{v: Fraction(1, 2) for v in range(5, 12)}, 0: Fraction(1, 3)},
+    ])
+    def test_integer_boundaries_are_accepted(self, cover):
+        h, cert = self._real()
+        verify_no_hamilton_certificate(h, replace(cert, covers=(cert.covers[0], cover)))
 
 
 class TestShortCycles:
