@@ -4,7 +4,9 @@ Verifier subcommands exit 1 on any failed property; `hamilton` exits 0
 when a cycle is found, 3 on a certified none, 4 on timeout.  Input
 errors (a missing or unreadable file, a malformed hypergraph, walk or
 demand file, an out-of-range vertex, a bad rational such as "1/0", a
-graph too small for a Hamilton cycle, an option value outside the range
+graph too small for a Hamilton cycle or, with n < k, for relative
+degrees, a `framework --sub` that is not a subgraph of its host,
+`walk-mod --shorten` on an open walk, an option value outside the range
 the library accepts) exit 2 with a one-line message on stderr.  Ranges
 are checked here rather than by catching the library's exceptions,
 which share their types with failed certificates.
@@ -90,6 +92,12 @@ def _require_level(d: int, k: int) -> None:
     _require(1 <= d <= k - 1, f"--d: the degree level must lie in 1..k-1 (d={d}, k={k})")
 
 
+def _require_degrees(r: hypergraph.Hypergraph, d: int, path: str) -> None:
+    """A relative d-degree divides by C(n-d, k-d), which is 0 when n < k."""
+    _require(r.n >= r.k, f"{path}: relative degrees need n >= k (n={r.n}, k={r.k})")
+    _require_level(d, r.k)
+
+
 def _require_unit(name: str, x: Fraction, closed: bool) -> None:
     ok = 0 <= x <= 1 if closed else 0 < x < 1
     _require(ok, f"--{name}: {rational_to_str(x)} must lie in {'[0, 1]' if closed else '(0, 1)'}")
@@ -156,6 +164,7 @@ def _cmd_walk_mod(args) -> int:
         return 1
     transcript = {"valid": True, "length": walk.length, "residue": walk.residue}
     if args.shorten:
+        _require(walk.closed, f"{args.walk}: --shorten needs a closed walk")
         short = walks.shorten_walk_mod_k(h, walk)
         transcript["shortened"] = serialize.walk_to_json(short.vertices, short.closed)
         transcript["shortened_length"] = short.length
@@ -183,7 +192,7 @@ def _cmd_matching(args) -> int:
 
 def _cmd_vicinity(args) -> int:
     r = _load(args.input)
-    _require_level(args.d, r.k)
+    _require_degrees(r, args.d, args.input)
     _require_unit("gamma", args.gamma, closed=False)
     _require_unit("delta", args.delta, closed=False)
     v = vicinity.select_vicinity(r, args.d, args.strategy)
@@ -202,6 +211,10 @@ def _cmd_vicinity(args) -> int:
 def _cmd_framework(args) -> int:
     r = _load(args.input)
     hsub = _load(args.sub)
+    _require((hsub.n, hsub.k) == (r.n, r.k), f"{args.sub}: the subgraph must have the same n and k")
+    outside = next((e for e in hsub.edges if not r.has_edge(e)), None)
+    _require(outside is None, f"{args.sub}: {outside} is not an edge of {args.input}")
+    _require(0 <= args.gamma < 1, f"--gamma: {rational_to_str(args.gamma)} must lie in [0, 1)")
     report = vicinity.verify_framework(r, hsub, args.alpha, args.gamma, args.delta)
     _emit({name: {"passed": c.passed} for name, c in report.checks.items()})
     return 0 if report.passed else 1
@@ -209,7 +222,7 @@ def _cmd_framework(args) -> int:
 
 def _cmd_perturbed(args) -> int:
     r = _load(args.input)
-    _require_level(args.d, r.k)
+    _require_degrees(r, args.d, args.input)
     report = vicinity.verify_perturbed_degree(r, args.d, args.alpha, args.delta)
     _emit({name: {"passed": c.passed, "witness": repr(c.witness) if c.witness else None}
            for name, c in report.checks.items()})
@@ -220,7 +233,7 @@ def _cmd_clean(args) -> int:
     r = _load(args.input)
     i = _load(args.perturbed)
     _require((i.n, i.k) == (r.n, r.k), f"{args.perturbed}: the perturbation must have the same n and k")
-    _require_level(args.d, r.k)
+    _require_degrees(r, args.d, args.input)
     _require(0 < args.beta <= 1, f"--beta: {rational_to_str(args.beta)} must lie in (0, 1]")
     result = cleaning.clean(r, i, args.d, args.beta)
     if args.out:

@@ -301,10 +301,13 @@ class AbsorbingGadget:
         return [self.a, self.b, self.c, *self.p, *self.q]
 
     def span(self) -> set[int]:
-        out: set[int] = set()
-        for part in self.parts():
-            out |= set(part)
-        return out
+        return set().union(*self.parts())
+
+    def swaps(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The k+1 (segment, replacement) pairs of an absorption: AC by
+        ABC, then P_i b_i Q_i by P_i t_i Q_i for each i < k."""
+        return [(self.a + self.c, self.a + self.b + self.c)] + [
+            (p + (b,) + q, p + (t,) + q) for p, b, q, t in zip(self.p, self.b, self.q, self.target)]
 
 
 def _is_tight_path(h: Hypergraph, seq: Sequence[int]) -> bool:
@@ -331,16 +334,7 @@ def verify_gadget(g: Hypergraph, gadget: AbsorbingGadget) -> bool:
         return False
     if span & set(gadget.target) or len(set(gadget.target)) != k:
         return False
-    if not _is_tight_path(g, gadget.a + gadget.c):
-        return False
-    if not _is_tight_path(g, gadget.a + gadget.b + gadget.c):
-        return False
-    for i in range(k):
-        mid_b = gadget.p[i] + (gadget.b[i],) + gadget.q[i]
-        mid_t = gadget.p[i] + (gadget.target[i],) + gadget.q[i]
-        if not (_is_tight_path(g, mid_b) and _is_tight_path(g, mid_t)):
-            return False
-    return True
+    return all(_is_tight_path(g, old) and _is_tight_path(g, new) for old, new in gadget.swaps())
 
 
 def find_absorbing_gadget(
@@ -355,9 +349,12 @@ def find_absorbing_gadget(
     pair greedily at random, validating tight-path constraints as it
     goes; a returned gadget always passes the full invariant recheck.
     The result reuses HamiltonResult outcomes with the gadget in place
-    of a cycle (stored in .cycle as the gadget object).
+    of a cycle (stored in .cycle as the gadget object).  Absorption needs
+    k >= 2: at k = 1 the P_i and Q_i are empty and so are the path ends.
     """
     k = g.k
+    if k < 2:
+        raise HypergraphError("absorbing gadgets need k >= 2")
     target = tuple(sorted(target))
     if len(target) != k or any(v < 0 or v >= g.n for v in target):
         raise HypergraphError("target must be a k-set of host vertices")
@@ -365,8 +362,8 @@ def find_absorbing_gadget(
     start_time = time.monotonic()
     nodes = 0
     pool_all = [v for v in range(g.n) if v not in target]
-    need = k * (2 * k + 1)
-    if len(pool_all) < need or not g.edges:
+    # after A, B and C (3k vertices) this leaves the 2k(k-1) that the k pairs fill
+    if len(pool_all) < k * (2 * k + 1) or not g.edges:
         return HamiltonResult("exhausted-none", None, 0, time.monotonic() - start_time)
     while True:
         nodes += 1
@@ -374,36 +371,25 @@ def find_absorbing_gadget(
             return HamiltonResult("timeout", None, nodes, time.monotonic() - start_time)
         pool = pool_all[:]
         rng.shuffle(pool)
-        abc = pool[:3 * k]
-        a, b, c = tuple(abc[:k]), tuple(abc[k:2 * k]), tuple(abc[2 * k:3 * k])
+        a, b, c = tuple(pool[:k]), tuple(pool[k:2 * k]), tuple(pool[2 * k:3 * k])
         if not (_is_tight_path(g, a + c) and _is_tight_path(g, a + b + c)):
             continue
         rest = pool[3 * k:]
         ps, qs = [], []
-        ok = True
-        idx = 0
         for i in range(k):
-            placed = False
+            lo = 2 * (k - 1) * i  # pairs 0..i-1 fill rest[:lo]
             for _attempt in range(40):
-                if idx + 2 * (k - 1) > len(rest):
-                    break
-                cand = rest[idx:idx + 2 * (k - 1)]
-                pi, qi = tuple(cand[:k - 1]), tuple(cand[k - 1:])
-                if _is_tight_path(g, pi + (b[i],) + qi) and _is_tight_path(
-                    g, pi + (target[i],) + qi
-                ):
+                pi, qi = tuple(rest[lo:lo + k - 1]), tuple(rest[lo + k - 1:lo + 2 * (k - 1)])
+                if _is_tight_path(g, pi + (b[i],) + qi) and _is_tight_path(g, pi + (target[i],) + qi):
                     ps.append(pi)
                     qs.append(qi)
-                    idx += 2 * (k - 1)
-                    placed = True
                     break
-                tail = rest[idx:]
+                tail = rest[lo:]
                 rng.shuffle(tail)
-                rest[idx:] = tail
-            if not placed:
-                ok = False
-                break
-        if not ok:
+                rest[lo:] = tail
+            else:
+                break  # pair i found no place: restart
+        if len(ps) < k:
             continue
         gadget = AbsorbingGadget(a, b, c, tuple(ps), tuple(qs), target)
         if verify_gadget(g, gadget):
@@ -411,44 +397,32 @@ def find_absorbing_gadget(
 
 
 def verify_absorption_swap(g: Hypergraph, path: TightWalk, gadget: AbsorbingGadget) -> bool:
-    """Substitute AC -> ABC and each P_i b_i Q_i -> P_i t_i Q_i inside a
-    host path and check the result absorbs exactly the target set.
+    """Apply the gadget's swaps (AC -> ABC, each P_i b_i Q_i -> P_i t_i Q_i)
+    inside a host path and check the result absorbs exactly the target set.
 
     Requires the substituted segments to occur contiguously in `path`
     (raises with a diagnostic otherwise); returns whether the rewritten
     path is a valid tight path with unchanged end (k-1)-tuples and vertex
     set V(P) + T.
     """
+    k = g.k
+    if k < 2:
+        raise HypergraphError("absorbing gadgets need k >= 2")
     if path.closed:
         raise HypergraphError("absorption acts on open paths")
     seq = list(path.vertices)
-    k = g.k
-
-    def locate(sub: tuple[int, ...]) -> int:
-        for i in range(len(seq) - len(sub) + 1):
-            if tuple(seq[i:i + len(sub)]) == sub:
-                return i
-        raise HypergraphError(f"segment {sub} not found contiguously in the path")
-
-    subs = [(gadget.a + gadget.c, gadget.a + gadget.b + gadget.c)]
-    for i in range(k):
-        subs.append((
-            gadget.p[i] + (gadget.b[i],) + gadget.q[i],
-            gadget.p[i] + (gadget.target[i],) + gadget.q[i],
-        ))
     if set(gadget.target) & set(seq):
         return False
-    new_seq = seq[:]
-    for old, new in subs:
-        seq = new_seq  # segments are pairwise disjoint, so order is immaterial
-        pos = locate(old)
-        new_seq = new_seq[:pos] + list(new) + new_seq[pos + len(old):]
-    if new_seq[:k - 1] != list(path.vertices[:k - 1]):
+    for old, new in gadget.swaps():  # segments are pairwise disjoint, so order is immaterial
+        pos = next((i for i in range(len(seq) - len(old) + 1)
+                    if tuple(seq[i:i + len(old)]) == old), None)
+        if pos is None:
+            raise HypergraphError(f"segment {old} not found contiguously in the path")
+        seq[pos:pos + len(old)] = new
+    if seq[:k - 1] != list(path.vertices[:k - 1]):
         return False
-    if new_seq[-(k - 1):] != list(path.vertices[-(k - 1):]):
+    if seq[-(k - 1):] != list(path.vertices[-(k - 1):]):
         return False
-    if set(new_seq) != set(path.vertices) | set(gadget.target):
+    if set(seq) != set(path.vertices) | set(gadget.target):
         return False
-    if len(set(new_seq)) != len(new_seq):
-        return False
-    return _is_tight_path(g, tuple(new_seq))
+    return _is_tight_path(g, tuple(seq))

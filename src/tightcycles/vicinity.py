@@ -227,6 +227,20 @@ def find_arc(v: Vicinity) -> Optional[Arc]:
     return None
 
 
+def _first_below(keys, value, target) -> CheckResult:
+    """Fails at the first key whose value is below target, with witness
+    (key, value); its value is the least value scanned up to and
+    including the witness (all keys when it passes, None when empty)."""
+    least = None
+    for s in keys:
+        x = value(s)
+        if least is None or x < least:
+            least = x
+        if x < target:
+            return CheckResult(False, (s, x), least)
+    return CheckResult(True, None, least)
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     checks: dict[str, CheckResult] = field(compare=False)
@@ -248,28 +262,17 @@ def verify_hamilton_vicinity(
     if not (0 < gamma < 1 and 0 < delta < 1):
         raise HypergraphError("gamma, delta must lie in (0,1)")
     host, d, k = v.host, v.d, v.host.k
+    keys = sorted(v.entries)
     checks: dict[str, CheckResult] = {}
 
-    v1_witness = None
-    for s in sorted(v.entries):
-        c_s = v.entries[s]
-        if not c_s.edges or tight_components(c_s).num_components != 1:
-            v1_witness = s
-            break
+    v1_witness = next((s for s in keys if not v.entries[s].edges
+                       or tight_components(v.entries[s]).num_components != 1), None)
     checks["V1"] = CheckResult(v1_witness is None, v1_witness)
 
-    v2_witness = None
-    keys = sorted(v.entries)
-    for i, s in enumerate(keys):
-        edges = v.entries[s].degree_counts(k - d).keys()
-        for s2 in keys[i + 1:]:
-            if adjacent_pairs_only and len(set(s) & set(s2)) != d - 1:
-                continue
-            if edges.isdisjoint(v.entries[s2].degree_counts(k - d)):
-                v2_witness = (s, s2)
-                break
-        if v2_witness:
-            break
+    v2_witness = next(((s, s2) for s, s2 in combinations(keys, 2)
+                       if (not adjacent_pairs_only or len(set(s) & set(s2)) == d - 1)
+                       and v.entries[s].degree_counts(k - d).keys().isdisjoint(
+                           v.entries[s2].degree_counts(k - d))), None)
     checks["V2"] = CheckResult(v2_witness is None, v2_witness)
 
     v3_witness = None
@@ -287,30 +290,14 @@ def verify_hamilton_vicinity(
             v3_witness = ("no-arc",)
     checks["V3"] = CheckResult(v3_witness is None, v3_witness, (switchers, arc))
 
-    v4_target = Fraction(1, k) + gamma
-    v4_witness, v4_min = None, None
-    for s in keys:
+    def matching_density(s):
         c_s = v.entries[s]
-        val, _, _ = lp_matching(c_s, uniform_weighting(c_s))
-        density = val / host.n if host.n else Fraction(0)
-        if v4_min is None or density < v4_min:
-            v4_min = density
-        if density < v4_target:
-            v4_witness = (s, density)
-            break
-    checks["V4"] = CheckResult(v4_witness is None, v4_witness, v4_min)
+        return lp_matching(c_s, uniform_weighting(c_s))[0] / host.n
 
-    v5_target = 1 - delta + gamma
+    checks["V4"] = _first_below(keys, matching_density, Fraction(1, k) + gamma)
     denom = comb(host.n - d, k - d)
-    v5_witness, v5_min = None, None
-    for s in keys:
-        density = Fraction(v.entries[s].num_edges(), denom)
-        if v5_min is None or density < v5_min:
-            v5_min = density
-        if density < v5_target:
-            v5_witness = (s, density)
-            break
-    checks["V5"] = CheckResult(v5_witness is None, v5_witness, v5_min)
+    checks["V5"] = _first_below(keys, lambda s: Fraction(v.entries[s].num_edges(), denom),
+                                1 - delta + gamma)
     return PropertyReport(checks)
 
 
@@ -379,11 +366,7 @@ def verify_perturbed_degree(
     for j in range(1, d + 1):
         counts = r.degree_counts(j)
         denom = comb(n - j, k - j)
-        p1_witness = None
-        for y in sorted(counts):
-            if Fraction(counts[y], denom) < delta:
-                p1_witness = y
-                break
+        p1_witness = next((y for y in sorted(counts) if Fraction(counts[y], denom) < delta), None)
         checks[f"P1[j={j}]"] = CheckResult(p1_witness is None, p1_witness)
 
         comp_count = comb(n, j) - len(counts)
@@ -393,10 +376,7 @@ def verify_perturbed_degree(
         missing = Hypergraph(n, j, tuple(y for y in combinations(range(n), j) if y not in counts))
         missing_counts = missing.degree_counts(j - 1)
         lower = [()] if j == 1 else sorted(r.degree_counts(j - 1))
-        p3_witness = None
-        for y in lower:
-            if Fraction(missing_counts.get(y, 0), n - j + 1) >= alpha:
-                p3_witness = y
-                break
+        p3_witness = next((y for y in lower if Fraction(missing_counts.get(y, 0), n - j + 1) >= alpha),
+                          None)
         checks[f"P3[j={j}]"] = CheckResult(p3_witness is None, p3_witness)
     return PropertyReport(checks)

@@ -348,6 +348,9 @@ class TestInputErrors:
         (["perturbed", "--d", "7", "--alpha", "1/10", "--delta", "1/2"], "1..k-1"),
         (["clean", "--perturbed", "K6", "--d", "3", "--beta", "1/4"], "1..k-1"),
         (["clean", "--perturbed", "K6", "--d", "1", "--beta", "0"], "--beta: 0/1"),
+        (["framework", "--sub", "K6", "--alpha", "1/10", "--gamma", "1", "--delta", "1/2"], "--gamma: 1/1"),
+        (["framework", "--sub", "K6", "--alpha", "1/10", "--gamma", "3/2", "--delta", "1/2"],
+         "--gamma: 3/2"),
     ])
     def test_option_outside_graph_range(self, argv, says, k6_path, capsys):
         argv = [k6_path if a == "K6" else a for a in argv]
@@ -359,6 +362,40 @@ class TestInputErrors:
         err = self._expect_input_error(
             ["clean", "--input", k6_path, "--perturbed", other, "--d", "1", "--beta", "1/4"], capsys)
         assert "same n and k" in err
+
+    @pytest.mark.parametrize("host, sub, says", [
+        (gen_complete(6, 3), gen_complete(6, 2), "same n and k"),
+        (gen_complete(6, 3), gen_complete(7, 3), "same n and k"),
+        (gen_tight_cycle(6, 3), gen_complete(6, 3), "is not an edge of"),
+    ])
+    def test_sub_outside_host(self, host, sub, says, tmp_path, capsys):
+        hpath, spath = str(tmp_path / "host.json"), str(tmp_path / "sub.json")
+        save_hypergraph(host, hpath)
+        save_hypergraph(sub, spath)
+        err = self._expect_input_error(["framework", "--input", hpath, "--sub", spath, "--alpha", "1/10",
+                                        "--gamma", "1/10", "--delta", "1/2"], capsys)
+        assert says in err
+
+    @pytest.mark.parametrize("n, argv", [
+        (0, ["vicinity", "--d", "1", "--gamma", "1/10", "--delta", "1/2"]),
+        (1, ["perturbed", "--d", "2", "--alpha", "1/10", "--delta", "1/2"]),
+        (1, ["clean", "--perturbed", "SELF", "--d", "1", "--beta", "1/4"]),
+        (2, ["clean", "--perturbed", "SELF", "--d", "1", "--beta", "1/4"]),
+    ])
+    def test_relative_degrees_below_k(self, n, argv, tmp_path, capsys):
+        path = tmp_path / "small.hg"
+        path.write_text(f"{n} 3\n")
+        argv = [str(path) if a == "SELF" else a for a in argv]
+        err = self._expect_input_error([argv[0], "--input", str(path), *argv[1:]], capsys)
+        assert "n >= k" in err
+
+    def test_shorten_open_walk(self, tmp_path, capsys):
+        gpath, wpath = str(tmp_path / "c5.json"), tmp_path / "w.json"
+        save_hypergraph(gen_tight_cycle(5, 3), gpath)
+        wpath.write_text(json.dumps({"vertices": [0, 1, 2, 3], "closed": False}))
+        err = self._expect_input_error(["walk-mod", "--input", gpath, "--walk", str(wpath), "--shorten"],
+                                       capsys)
+        assert "closed walk" in err
 
     @pytest.mark.parametrize("demand, says", [
         ({"0": "3/2"}, "[0, 1]"), ({"0": "-1/2"}, "[0, 1]"), ({"6": "1/2"}, "outside [0, 6)"),

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -14,6 +15,7 @@ from tightcycles.hypergraph import (
     HypergraphError,
     complement,
     gen_complete,
+    gen_random,
     gen_tight_cycle,
 )
 from tightcycles.oracle import (
@@ -27,7 +29,7 @@ from tightcycles.oracle import (
     verify_gadget,
     verify_no_hamilton_certificate,
 )
-from tightcycles.walks import WalkError, tight_components, validate_walk
+from tightcycles.walks import TightWalk, WalkError, tight_components, validate_walk
 
 
 # (graph, outcome, find_tight_cycle nodes, find_tight_hamilton nodes,
@@ -394,6 +396,16 @@ class TestGadget:
                               (gadget.a[0], 1, 2))
         assert not verify_gadget(g, bad)
 
+    def test_needs_k_at_least_two(self):
+        # at k = 1 the P_i and Q_i are empty, and the path ends are too
+        g = gen_complete(8, 1)
+        with pytest.raises(HypergraphError, match="k >= 2"):
+            find_absorbing_gadget(g, (7,))
+        gadget = AbsorbingGadget((0,), (1,), (2,), ((),), ((),), (7,))
+        path = validate_walk(g, (0, 2, 3, 1, 4), closed=False)
+        with pytest.raises(HypergraphError, match="k >= 2"):
+            verify_absorption_swap(g, path, gadget)
+
 
 class TestAbsorptionSwap:
     def _fixture(self, seed=3):
@@ -433,3 +445,92 @@ class TestAbsorptionSwap:
         cyc = validate_walk(g, tuple(range(3, 10)), closed=True)
         with pytest.raises(HypergraphError):
             verify_absorption_swap(g, cyc, gadget)
+
+
+def _gadget_pin_text(k, n, p, seed) -> str:
+    """Every output of the gadget search on one seeded host, as text: the
+    search result, then verify_gadget and verify_absorption_swap on the
+    gadget, on host paths built from it and on tampered copies of both."""
+    g = gen_random(n, k, p, seed)
+    target = seeded_rng("gadget", k, n, p, seed).sample(range(n), k)
+    res = find_absorbing_gadget(g, target, SearchBudget(max_nodes=300, max_seconds=3600), seed)
+    out = [res.outcome, res.nodes, res.cycle]
+    gadget = res.cycle
+    if gadget is None:
+        return repr(out)
+
+    def checked(f, *args):
+        try:
+            return f(*args)
+        except HypergraphError as err:
+            return f"HypergraphError: {err}"
+
+    def segments(gd):
+        return [gd.a + gd.c] + [gd.p[i] + (gd.b[i],) + gd.q[i] for i in range(k)]
+
+    def path(segs, closed=False):
+        return TightWalk(tuple(v for seg in segs for v in seg), closed, g)
+
+    # a vertex outside the gadget, or n itself when the host has none
+    outside = [v for v in range(n) if v not in gadget.span() | set(gadget.target)][:1] or [n]
+    a, b, c, ps, qs, t = gadget.a, gadget.b, gadget.c, gadget.p, gadget.q, gadget.target
+    gadgets = [
+        gadget,
+        replace(gadget, b=c, c=b),
+        replace(gadget, a=a[::-1]),
+        replace(gadget, c=c[::-1]),
+        replace(gadget, b=b[1:] + b[:1]),
+        replace(gadget, p=qs, q=ps),
+        replace(gadget, p=ps[1:] + ps[:1]),
+        replace(gadget, q=(qs[0][::-1],) + qs[1:]),
+        replace(gadget, target=t[::-1]),
+        replace(gadget, target=(a[0],) + t[1:]),
+        replace(gadget, target=tuple(outside) + t[1:]),
+        replace(gadget, target=(t[0],) * k),
+    ]
+    segs = segments(gadget)
+    paths = [
+        path(segs),
+        path(segs[::-1]),
+        path(segs[1:] + segs[:1]),
+        path([tuple(outside)] + segs),
+        path(segs + [tuple(outside)]),
+        path(segs + [t[:1]]),
+        path(segs[:-1]),
+        path([s[::-1] for s in segs]),
+        path([a + tuple(outside) + c] + segs[1:]),
+        path([segs[0], tuple(outside), *segs[1:]]),
+        path(segs, closed=True),
+    ]
+    for gd in gadgets:
+        out.append(verify_gadget(g, gd))
+        out.append(checked(verify_absorption_swap, g, path(segments(gd)), gd))
+        out.append(checked(verify_absorption_swap, g, paths[0], gd))
+    for pth in paths:
+        out.append(checked(verify_absorption_swap, g, pth, gadget))
+    return repr(out)
+
+
+def _gadget_host_text(k, n) -> str:
+    return "\n".join(_gadget_pin_text(k, n, p, seed)
+                     for p in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(1))
+                     for seed in range(4))
+
+
+# Recorded from the code before the gadget's swap list.
+_GADGET_DIGESTS = {
+    (2, 11): "bafc18235c2a8bd89f1983222239eb803c94e3316a9296c0ca7265b28d44676e",
+    (2, 12): "1fddccfeb7ae7cdb3f1071d9bcd37f7ffcdf3680b4496076d188f0fe25873cff",
+    (2, 14): "ab4d1d9bf48859b6742da6f578b9c4a8632bf164ea2a9bc5cd7bdcfcf2343b7a",
+    (2, 18): "cde346f4866e9d40848da2d9a0687335d54be058ec31ef66e7eee28c7b75dab3",
+    (3, 23): "bafc18235c2a8bd89f1983222239eb803c94e3316a9296c0ca7265b28d44676e",
+    (3, 24): "b084cbdb1fedefb0dcfdb72b08eca0992988190542efae90ea37c6ae09546b0f",
+    (3, 27): "0aaf5474611b14f79e35d95133b5e60aeb3d7e4ba88b5f7d730e2a3d71467da4",
+    (3, 30): "bd154d19584b540549e4e787702bb5fb67c59f00a55177e37fde6a6f450d990a",
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(_GADGET_DIGESTS))
+def test_gadget_digest_is_pinned(k, n):
+    text = _gadget_host_text(k, n)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GADGET_DIGESTS[(k, n)]

@@ -351,3 +351,61 @@ _CHAIN_DIGESTS = {
 def test_structure_chain_digest_is_pinned(seed, p):
     text = _structure_chain_text(seed, p)
     assert hashlib.sha256(text.encode()).hexdigest() == _CHAIN_DIGESTS[(seed, p)]
+
+
+def _vicinity_pin_text(n, k, seed) -> str:
+    """Every V and P report on one seeded host, as text: for each level d
+    and strategy, the selected vicinity and a seeded thinning of it (some
+    links emptied) under several (gamma, delta) pairs, with and without
+    adjacent_pairs_only, then the P-checks under several (alpha, delta) on
+    the host and on a sparser one."""
+    r = gen_random(n, k, Fraction(3, 4), seed)
+    sparse = gen_random(n, k, Fraction(1, 3), seed)
+    rng = seeded_rng("vicinity", n, k, seed)
+    reports = []
+    for d in range(1, k):
+        for strategy in ("max-ratio", "max-edges"):
+            vic = select_vicinity(r, d, strategy)
+            thinned = Vicinity(r, d, {
+                s: Hypergraph(n, k - d, tuple(a for a in c.edges if rng.random() < Fraction(2, 3)))
+                for s, c in vic.entries.items()})
+            for v in (vic, thinned):
+                for gamma, delta in ((Fraction(1, 12), Fraction(1, 2)), (Fraction(1, 10), Fraction(1, 2)),
+                                     (Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 20), Fraction(3, 4))):
+                    for adjacent in (False, True):
+                        rep = verify_hamilton_vicinity(v, gamma, delta, adjacent_pairs_only=adjacent)
+                        reports.append(sorted(rep.checks.items()))
+        for host in (r, sparse):
+            for alpha, delta in ((Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 6), Fraction(3, 4)),
+                                 (Fraction(1, 4), Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 2))):
+                reports.append(sorted(verify_perturbed_degree(host, d, alpha, delta).checks.items()))
+    return repr(reports)
+
+
+# Recorded from the code before the first-witness scans.
+_VICINITY_DIGESTS = {
+    (6, 3, 0): "396cea33443a353010796cb3d91f1c085cbebc6952e3451e3d15279be6040113",
+    (6, 3, 1): "f4545e9a437cac1d9b49bbb10aad5da04658ec655b5096abce645bda4b951a11",
+    (6, 3, 2): "a75a159bf80ff9c70e69aa37d0144d0278a78fb07f86420858c1e0b433dd52ea",
+    (6, 4, 0): "cdc380851c73843f3e2eed9f97cd9da1fb525fe2c78192deabc68df4736d84b4",
+    (6, 4, 1): "7edc5881e42d0ffe1011d28cb432ca95f3c773eb5252b35c408f6bc277268a1e",
+    (6, 4, 2): "21561d42afb5a2f61e8d66d6e12e45ebab5111a682ca0257bab36a16c061989a",
+    (7, 3, 0): "5b17810ee44790f8082a0ac9092ba25c20fa2dc1ef93a604acb7cd1917b39311",
+    (7, 3, 1): "a72be2ba91071536b0e999c8ab821f44f3dd0dab3ca97f88d52171b13a766434",
+    (7, 3, 2): "c93ac4f57003d0d620dfb168f1340b3647215578ae58b29a2fbe07037ca02558",
+    (7, 4, 0): "54738828c84491698714f3a8f432d8602ce31266d078a8f574b7e643391221ba",
+    (7, 4, 1): "b63f5bfc890df0fb362e5b0f40be28fbc7d55fad72662ae93e72d061a9888437",
+    (7, 4, 2): "6eb6f1be1e9dd079175751e70dd0b33ee6e58000138055099a9d558f704e6382",
+    (8, 3, 0): "b2e2e6774c7170a31b61d61ff1594e20309fb34ea409f5e163d9f50bb0db6629",
+    (8, 3, 1): "339baddccd0ab275e41ddc8176b5b9c3a878369372ec79f1716bb3fc94917691",
+    (8, 3, 2): "cd66774d446979ced6c58cb5449e8cafd1061261396d1cf26ec066dcbfdc0a40",
+    (8, 4, 0): "3d83cdcce42ed74d06797cc6a863fbc72dd8120f48aa7961e05ae4b022699d02",
+    (8, 4, 1): "eca0bae198d38a134c2471e252a2dacef4efe748465b87f8fe101facb27c887d",
+    (8, 4, 2): "22be37c917924d825770d217b6d3e4a84da73cecadebd77e07220e0ca399c76f",
+}
+
+
+@pytest.mark.parametrize("n,k,seed", sorted(_VICINITY_DIGESTS))
+def test_vicinity_digest_is_pinned(n, k, seed):
+    text = _vicinity_pin_text(n, k, seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == _VICINITY_DIGESTS[(n, k, seed)]
