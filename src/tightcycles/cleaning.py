@@ -70,7 +70,7 @@ def gradation(i: Hypergraph, beta: Fraction, root: int = 1) -> Gradation:
 
 
 def degree_perturbation(
-    r: Hypergraph, i: Hypergraph, d: int, beta: Fraction, root: int = 1
+    r: Hypergraph, i: Hypergraph, d: int, beta: Fraction
 ) -> Hypergraph:
     """Edges of R contaminated by the gradation of I: each F_j collects
     the R-edges containing at least one level-j edge, for j <= d."""
@@ -78,7 +78,7 @@ def degree_perturbation(
         raise HypergraphError("d out of range")
     if i.n != r.n or i.k != r.k:
         raise HypergraphError("I must live on the same (n, k) as R")
-    grad = gradation(i, beta, root)
+    grad = gradation(i, beta)
     out = set()
     for j in range(1, d + 1):
         present = grad.level(j).degree_counts(j)

@@ -127,6 +127,13 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _emit_checks(report) -> int:
+    """Print every check with its witness (null only when it has none)."""
+    _emit({name: {"passed": c.passed, "witness": None if c.witness is None else repr(c.witness)}
+           for name, c in report.checks.items()})
+    return 0 if report.passed else 1
+
+
 def _cmd_gen(args) -> int:
     n, k, d = args.n, args.k, args.d
     _require(k >= 1, f"--k: need k >= 1 (k={k})")
@@ -203,9 +210,7 @@ def _cmd_vicinity(args) -> int:
     report = vicinity.verify_hamilton_vicinity(
         v, args.gamma, args.delta, adjacent_pairs_only=args.adjacent_pairs_only
     )
-    _emit({name: {"passed": c.passed, "witness": repr(c.witness) if c.witness else None}
-           for name, c in report.checks.items()})
-    return 0 if report.passed else 1
+    return _emit_checks(report)
 
 
 def _cmd_framework(args) -> int:
@@ -224,9 +229,7 @@ def _cmd_perturbed(args) -> int:
     r = _load(args.input)
     _require_degrees(r, args.d, args.input)
     report = vicinity.verify_perturbed_degree(r, args.d, args.alpha, args.delta)
-    _emit({name: {"passed": c.passed, "witness": repr(c.witness) if c.witness else None}
-           for name, c in report.checks.items()})
-    return 0 if report.passed else 1
+    return _emit_checks(report)
 
 
 def _cmd_clean(args) -> int:

@@ -7,7 +7,7 @@ module (or its consumers) compares thresholds through floats.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -100,7 +100,6 @@ class DegreeReport:
     min_degree: int
     min_relative_degree: Fraction
     argmin_set: tuple[int, ...]
-    per_level_shadow_densities: dict[int, Fraction] = field(compare=False)
 
 
 def build_hypergraph(n: int, k: int, edges: Sequence[Sequence[int]]) -> tuple[Hypergraph, int]:
@@ -172,39 +171,25 @@ def check_degree_level(n: int, k: int, d: int) -> None:
         raise HypergraphError(f"need n > d, got n={n}, d={d}")
 
 
-def degree_stats(h: Hypergraph, d: int, shadow_only: bool = False) -> DegreeReport:
-    """Exact minimum d-degree over all d-subsets (or only shadow d-edges).
-
-    ``shadow_only`` restricts the minimization to edges of the d-th shadow,
-    which is the quantification used by perturbed-degree checks.
-    """
+def degree_stats(h: Hypergraph, d: int) -> DegreeReport:
+    """Exact minimum d-degree over all d-subsets."""
     check_degree_level(h.n, h.k, d)
     counts = h.degree_counts(d)
     denom = comb(h.n - d, h.k - d)
-    if shadow_only:
-        candidates: Iterable[tuple[int, ...]] = sorted(counts)
-        if not counts:
-            raise HypergraphError("empty shadow: no d-edges to minimize over")
-    else:
-        candidates = combinations(range(h.n), d)
     best_set: tuple[int, ...] | None = None
     best = None
-    for s in candidates:
+    for s in combinations(range(h.n), d):
         deg = counts.get(s, 0)
         if best is None or deg < best:
             best, best_set = deg, s
-            if best == 0 and not shadow_only:
+            if best == 0:
                 break
     assert best is not None and best_set is not None
-    densities = {
-        j: Fraction(shadow_edge_count(h, j), comb(h.n, j)) for j in range(1, d + 1)
-    }
     return DegreeReport(
         d=d,
         min_degree=best,
         min_relative_degree=Fraction(best, denom),
         argmin_set=best_set,
-        per_level_shadow_densities=densities,
     )
 
 

@@ -23,10 +23,9 @@ class MatchingError(ValueError):
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Edge weights w >= 0 with cached per-vertex loads."""
+    """Edge weights w >= 0."""
 
     weights: dict[tuple[int, ...], Fraction]
-    loads: dict[int, Fraction]
 
     @property
     def size(self) -> Fraction:
@@ -68,7 +67,7 @@ def lp_matching(h: Hypergraph, b: dict[int, Fraction]) -> tuple[Fraction, Fracti
     if any(bi < 0 or bi > 1 for bi in bvec):
         raise MatchingError("vertex weighting outside [0,1]")
     if not h.edges:
-        return Fraction(0), FractionalAssignment({}, _loads(h, {})), CoverCertificate(
+        return Fraction(0), FractionalAssignment({}), CoverCertificate(
             {v: Fraction(0) for v in range(h.n)}, Fraction(0)
         )
     edges = h.edges
@@ -97,7 +96,7 @@ def lp_matching(h: Hypergraph, b: dict[int, Fraction]) -> tuple[Fraction, Fracti
     for v in range(h.n):
         if cover[v] > 0 and loads[v] != bvec[v]:
             raise MatchingError("complementary slackness (vertex) violated")
-    return value, FractionalAssignment(w, loads), CoverCertificate(cover, dual_obj)
+    return value, FractionalAssignment(w), CoverCertificate(cover, dual_obj)
 
 
 _MATCHING_GUARD = 5000
@@ -197,7 +196,6 @@ def is_robustly_matchable(h: Hypergraph, gamma: Fraction) -> RobustMatchReport:
 class LiftingReport:
     hypothesis_holds: bool
     conclusion_holds: bool
-    min_link_value: Optional[Fraction]
     host_value: Fraction
 
 
@@ -211,17 +209,9 @@ def verify_matching_lifting(h: Hypergraph, d: int, m: Fraction, b: dict[int, Fra
     norm = sum((Fraction(b.get(v, 0)) for v in range(h.n)), Fraction(0))
     if m > norm / h.k:
         raise MatchingError("m exceeds |b|/k; outside the statement's range")
-    min_link: Optional[Fraction] = None
-    hypothesis = True
-    for s in combinations(range(h.n), d):
-        val, _, _ = lp_matching(link(h, s), b)
-        if min_link is None or val < min_link:
-            min_link = val
-        if val < m:
-            hypothesis = False
-            break
+    hypothesis = all(lp_matching(link(h, s), b)[0] >= m for s in combinations(range(h.n), d))
     host_val, _, _ = lp_matching(h, b)
-    return LiftingReport(hypothesis, host_val >= m, min_link, host_val)
+    return LiftingReport(hypothesis, host_val >= m, host_val)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,12 @@ def select_vicinity(r: Hypergraph, d: int, strategy: str = "max-ratio") -> Vicin
     return Vicinity(r, d, entries)
 
 
+def _switches(c: Hypergraph, aset: set[int], central: int, bvert: int, w: int) -> bool:
+    """w lies outside A, and (A + w) - central and (A + w) - b are edges."""
+    return (w not in aset and c.has_edge((aset | {w}) - {central})
+            and c.has_edge((aset | {w}) - {bvert}))
+
+
 def verify_switcher(c: Hypergraph, sw: Switcher) -> bool:
     a = tuple(sorted(sw.edge))
     if not c.has_edge(a) or sw.central not in a:
@@ -119,11 +125,7 @@ def verify_switcher(c: Hypergraph, sw: Switcher) -> bool:
     aset = set(a)
     for bvert in a:
         w = sw.witnesses.get(bvert)
-        if w is None or w in aset:
-            return False
-        if not c.has_edge((aset | {w}) - {sw.central}):
-            return False
-        if not c.has_edge((aset | {w}) - {bvert}):
+        if w is None or not _switches(c, aset, sw.central, bvert, w):
             return False
     return True
 
@@ -154,22 +156,14 @@ def find_switcher(c: Hypergraph) -> Optional[Switcher]:
         aset = set(a)
         for central in a:
             witnesses: dict[int, int] = {}
-            ok = True
             for bvert in a:
-                found = None
-                for cand in range(c.n):
-                    if cand in aset:
-                        continue
-                    if c.has_edge((aset | {cand}) - {central}) and c.has_edge(
-                        (aset | {cand}) - {bvert}
-                    ):
-                        found = cand
+                for w in range(c.n):
+                    if _switches(c, aset, central, bvert, w):
+                        witnesses[bvert] = w
                         break
-                if found is None:
-                    ok = False
+                else:
                     break
-                witnesses[bvert] = found
-            if ok:
+            else:
                 sw = Switcher(a, central, witnesses)
                 if not verify_switcher(c, sw):
                     raise HypergraphError(f"switcher certificate failed at {a}")

@@ -17,9 +17,8 @@ given residue differ only in their state and step function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, window_index
@@ -49,8 +48,6 @@ class ComponentSummary:
     num_edges: int
     shadow_edges: int
     span: int
-    edge_density: Fraction
-    shadow_density: Fraction
 
 
 @dataclass(frozen=True)
@@ -145,12 +142,6 @@ def tight_components(h: Hypergraph) -> ComponentPartition:
                 num_edges=len(edges),
                 shadow_edges=sh_count,
                 span=len(set().union(*edges)),
-                edge_density=Fraction(len(edges), comb(h.n, h.k)) if h.n >= h.k else Fraction(0),
-                shadow_density=(
-                    Fraction(sh_count, comb(h.n, h.k - 1))
-                    if h.k >= 2 and h.n >= h.k - 1
-                    else Fraction(0)
-                ),
             )
         )
     return ComponentPartition(mapping, tuple(summaries), tuple(map(tuple, members)))

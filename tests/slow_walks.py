@@ -3,7 +3,8 @@
 These are the library's earlier tight_components, co_walk_oracle,
 is_strongly_connected, find_tight_walk and find_closed_walk_residue,
 kept verbatim apart from this docstring and tight_components returning
-its edge map and summaries as a pair.  Each writes its own BFS that
+its edge map and summaries as a pair, without the density fields that
+the summaries no longer carry.  Each writes its own BFS that
 tries every vertex x in range(n) with has_edge, so they are slow but
 obviously right.  The engine must return the same walks, booleans,
 errors and partitions; see test_walks.py.
@@ -11,9 +12,8 @@ errors and partitions; see test_walks.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from tightcycles.hypergraph import Hypergraph, shadow_edge_count
@@ -71,12 +71,6 @@ def tight_components(h: Hypergraph):
                 num_edges=len(edges),
                 shadow_edges=sh_count,
                 span=span,
-                edge_density=Fraction(len(edges), comb(h.n, h.k)) if h.n >= h.k else Fraction(0),
-                shadow_density=(
-                    Fraction(sh_count, comb(h.n, h.k - 1))
-                    if h.k >= 2 and h.n >= h.k - 1
-                    else Fraction(0)
-                ),
             )
         )
     return mapping, tuple(summaries)

@@ -143,6 +143,14 @@ class TestCli:
         assert main(["perturbed", "--input", k6_path, "--d", "1",
                      "--alpha", "1/10", "--delta", "1/2"]) == 0
 
+    def test_falsy_witness_is_printed(self, tmp_path, capsys):
+        # an edgeless graph fails P3[j=1] at the empty set, whose repr is "()"
+        path = tmp_path / "e5.hg"
+        path.write_text("5 3\n")
+        assert main(["perturbed", "--input", str(path), "--d", "1",
+                     "--alpha", "1/10", "--delta", "1/2"]) == 1
+        assert json.loads(capsys.readouterr().out)["P3[j=1]"] == {"passed": False, "witness": "()"}
+
     def test_clean(self, tmp_path, capsys):
         rpath = str(tmp_path / "k8.json")
         save_hypergraph(gen_complete(8, 3), rpath)

@@ -156,9 +156,9 @@ class TestRandomMinDegree:
     def test_certificate_is_one_degree_stats_on_the_output(self):
         seen = []
 
-        def spy(h, d, shadow_only=False):
+        def spy(h, d):
             seen.append(h)
-            return degree_stats(h, d, shadow_only)
+            return degree_stats(h, d)
 
         with mock.patch.object(constructions, "degree_stats", spy):
             h = gen_random_min_degree(10, 3, 1, Fraction(2, 3), 3)
@@ -166,8 +166,8 @@ class TestRandomMinDegree:
 
     def test_failed_certificate_raises(self):
         # an explicit check, not an assert that python -O strips
-        def short(h, d, shadow_only=False):
-            return DegreeReport(d, 0, Fraction(0), (0,), {})
+        def short(h, d):
+            return DegreeReport(d, 0, Fraction(0), (0,))
 
         with mock.patch.object(constructions, "degree_stats", short):
             with pytest.raises(HypergraphError):

@@ -153,7 +153,6 @@ class TestDegrees:
         # vertex 3 is isolated, so the unrestricted minimum is 0
         h, _ = build_hypergraph(4, 3, [[0, 1, 2]])
         assert degree_stats(h, 1).min_degree == 0
-        assert degree_stats(h, 1, shadow_only=True).min_degree == 1
 
     def test_relative_degree_denominator(self):
         h = gen_complete(6, 3)

@@ -439,6 +439,18 @@ class TestAbsorptionSwap:
         extended = validate_walk(g, (0,) + path.vertices, closed=False)
         assert not verify_absorption_swap(g, extended, gadget)
 
+    def test_moved_start_fails(self):
+        # P_0 is empty, a gadget verify_gadget rejects: the first swap then
+        # rewrites the path's first vertex 3 to the target 19, and only the
+        # end check tells
+        g = gen_complete(22, 3)
+        gadget = AbsorbingGadget((0, 1, 2), (3, 4, 5), (6, 7, 8), ((), (9, 10), (11, 12)),
+                                 ((13, 14), (15, 16), (17, 18)), (19, 20, 21))
+        path = validate_walk(g, (3, 13, 14, 0, 1, 2, 6, 7, 8, 9, 10, 4, 15, 16, 11, 12, 5, 17, 18),
+                             closed=False)
+        assert not verify_gadget(g, gadget)
+        assert not verify_absorption_swap(g, path, gadget)
+
     def test_closed_path_rejected(self):
         g = gen_complete(30, 3)
         gadget = find_absorbing_gadget(g, (0, 1, 2), seed=7).cycle
