@@ -3,11 +3,12 @@
 Verifier subcommands exit 1 on any failed property; `hamilton` exits 0
 when a cycle is found, 3 on a certified none, 4 on timeout.  Input
 errors (a missing or unreadable file, a malformed hypergraph, walk or
-demand file, an out-of-range vertex, a bad rational such as "1/0", a
-graph too small for a Hamilton cycle or, with n < k, for relative
-degrees, a `framework --sub` that is not a subgraph of its host,
-`walk-mod --shorten` on an open walk, an option value outside the range
-the library accepts) exit 2 with a one-line message on stderr.  Ranges
+demand file, a hypergraph with k < 1, an out-of-range vertex, a bad
+rational such as "1/0", a graph too small for a Hamilton cycle or, with
+n < k, for relative degrees, a `framework --sub` that is not a subgraph
+of its host, `walk-mod --shorten` on an open walk, an option value
+outside the range the library accepts) exit 2 with a one-line message
+on stderr.  Ranges
 are checked here rather than by catching the library's exceptions,
 which share their types with failed certificates.
 """
@@ -47,12 +48,14 @@ def _ints(s: str) -> list[int]:
 
 
 def _load(path: str) -> hypergraph.Hypergraph:
-    """Load a hypergraph file; malformed content becomes an input error
-    (an OSError from opening it reaches main as it is)."""
+    """Load a hypergraph file; malformed content, or k < 1, becomes an
+    input error (an OSError from opening it reaches main as it is)."""
     try:
-        return load_hypergraph(path)
+        h = load_hypergraph(path)
     except ValueError as err:
         raise _InputError(f"{path}: {err}") from None
+    _require(h.k >= 1, f"{path}: need k >= 1 (k={h.k})")
+    return h
 
 
 def _load_json(path: str, parse):

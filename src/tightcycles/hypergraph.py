@@ -129,18 +129,19 @@ def shadow_edge_count(h: Hypergraph, j: int) -> int:
     return len(h.degree_counts(j))
 
 
-def window_index(h: Hypergraph) -> dict[frozenset[int], tuple[int, ...]]:
+def window_index(h: Hypergraph) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The ordered-window successor index: every (k-1)-subset W of an
-    edge mapped to the ascending tuple of vertices x with W + x an edge.
+    edge, keyed like the degree index as its increasing tuple, mapped to
+    the ascending tuple of vertices x with W + x an edge.
 
     One pass over the edges; because they are sorted, appending x edge
     by edge already yields ascending tuples.  Built per call and never
     cached on the graph, so a caller holds it only while it searches.
     """
-    index: dict[frozenset[int], list[int]] = {}
+    index: dict[tuple[int, ...], list[int]] = {}
     for e in h.edges:
         for drop in range(h.k):
-            index.setdefault(frozenset(e[:drop] + e[drop + 1:]), []).append(e[drop])
+            index.setdefault(e[:drop] + e[drop + 1:], []).append(e[drop])
     return {w: tuple(xs) for w, xs in index.items()}
 
 

@@ -128,15 +128,13 @@ class _Searcher:
         above = range(start + 1, self.h.n)
 
         def is_prefix(vs: list[int]) -> bool:
-            # (k-1)-prefixes are windows; shorter ones (k >= 4) are shadow sets
-            if len(vs) == k - 1:
-                return successors(frozenset(vs)) is not None
             return tuple(sorted(vs)) in self.h.degree_counts(len(vs))
 
         def close_ok() -> bool:
             if seq[1] > seq[-1]:
                 return False  # mirror image handled elsewhere
-            for i in range(length - k + 1, length):
+            # i = length is the first window, which no step checks when k = 1
+            for i in range(length - k + 1, length + 1):
                 win = tuple(seq[(i + j) % length] for j in range(k))
                 if len(set(win)) != k or not self.h.has_edge(win):
                     return False
@@ -148,7 +146,7 @@ class _Searcher:
             if p == length:
                 return tuple(seq) if close_ok() else None
             if p >= k - 1:
-                cands = successors(frozenset(seq[-(k - 1):]), ())
+                cands = successors(tuple(sorted(seq[p - k + 1:])), ())
             else:
                 cands = above
             for x in cands:
@@ -179,8 +177,7 @@ def _component_lp_certificate(h: Hypergraph,
     """
     n, k = h.n, h.k
     covers = []
-    for cid, summary in enumerate(part.summaries):
-        edges = part.component_edges(cid)
+    for edges, summary in zip(part.members, part.summaries):
         if summary.span < n:
             covers.append({v: Fraction(1, k) for v in sorted(set().union(*edges))})
             continue

@@ -95,7 +95,7 @@ def select_component(g: Hypergraph, strategy: str = "max-ratio") -> Optional[Hyp
         e_prev = shadow_edge_count(g, g.k - 1)
         if chosen.num_edges * e_prev < e_l * chosen.shadow_edges:
             raise HypergraphError("max-ratio certificate failed")
-    return Hypergraph(g.n, g.k, part.component_edges(best))
+    return Hypergraph(g.n, g.k, part.members[best])
 
 
 def select_vicinity(r: Hypergraph, d: int, strategy: str = "max-ratio") -> Vicinity:

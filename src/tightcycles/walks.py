@@ -7,11 +7,12 @@ chain of (k-1)-overlaps is realized by one walk that rotates cyclically
 inside each edge.
 
 Every walk search runs on one ordered-window engine: the (k-1)-window
-index of hypergraph.window_index gives each ordered window its
-one-vertex shifts in ascending order, and one level-order BFS with
-parents (_bfs) explores states built on those shifts.  Strong
-connectivity, the co-walk oracle, shortest walks and closed walks of a
-given residue differ only in their state and step function.
+index of hypergraph.window_index, keyed by the window's increasing
+tuple, gives each ordered window its one-vertex shifts in ascending
+order, and one level-order BFS with parents (_bfs) explores states
+built on those shifts.  Strong connectivity, the co-walk oracle,
+shortest walks and closed walks of a given residue differ only in their
+state and step function.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class ComponentPartition:
     def num_components(self) -> int:
         return len(self.summaries)
 
-    def component_edges(self, cid: int) -> tuple[tuple[int, ...], ...]:
-        """The edges of component cid, sorted."""
-        return self.members[cid]
-
 
 def _windows(seq: Sequence[int], k: int, closed: bool):
     n = len(seq)
@@ -87,54 +84,48 @@ def validate_walk(h: Hypergraph, seq: Sequence[int], closed: bool) -> TightWalk:
     return TightWalk(seq, closed, h)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def tight_components(h: Hypergraph) -> ComponentPartition:
-    """Partition edges into tight components through the window index.
+    """Partition edges into tight components in one pass over the edges.
 
     The edges through one (k-1)-window are tightly connected, so each
-    window unions its edges.  A component's (k-1)-shadow is the set of
+    edge is joined to the first edge through each of its windows, by
+    union-find over edge ids.  A component's (k-1)-shadow is the set of
     windows that fall in it and its span is the union of its edges.
     """
-    edge_id = {frozenset(e): i for i, e in enumerate(h.edges)}
-    uf = _UnionFind(range(len(h.edges)))
-    anchors = []  # one edge through each window
-    for w, xs in window_index(h).items():
-        first = edge_id[w | {xs[0]}]
-        for x in xs[1:]:
-            uf.union(first, edge_id[w | {x}])
-        anchors.append(first)
-    roots: dict[int, int] = {}
+    parent = list(range(len(h.edges)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first: dict[tuple[int, ...], int] = {}  # each window's first edge
+    for i, e in enumerate(h.edges):
+        root = i  # edge i's root; the lesser root wins, so a root is its set's least edge
+        for drop in range(h.k):
+            j = first.setdefault(e[:drop] + e[drop + 1:], i)
+            if j != i:
+                a = find(j)
+                if a < root:
+                    parent[root] = a
+                    root = a
+                elif a > root:
+                    parent[a] = root
+    cid = [0] * len(parent)
     mapping: dict[tuple[int, ...], int] = {}
     members: list[list[tuple[int, ...]]] = []
     for i, e in enumerate(h.edges):  # edges are sorted, so ids follow least-edge order
-        r = uf.find(i)
-        if r not in roots:
-            roots[r] = len(members)
+        r = find(i)
+        if r == i:
+            cid[i] = len(members)
             members.append([])
-        cid = roots[r]
-        mapping[e] = cid
-        members[cid].append(e)
+        mapping[e] = cid[r]
+        members[cid[r]].append(e)
     # a 1-graph has the one empty window: the e_0 = 1 convention
     shadow_counts = [0] * len(members)
-    for a in anchors:
-        shadow_counts[roots[uf.find(a)]] += 1
+    for j in first.values():
+        shadow_counts[cid[find(j)]] += 1
     summaries = []
     for edges, sh_count in zip(members, shadow_counts):
         summaries.append(
@@ -148,11 +139,7 @@ def tight_components(h: Hypergraph) -> ComponentPartition:
 
 
 def component_subgraphs(h: Hypergraph) -> list[Hypergraph]:
-    part = tight_components(h)
-    return [
-        Hypergraph(h.n, h.k, part.component_edges(cid))
-        for cid in range(part.num_components)
-    ]
+    return [Hypergraph(h.n, h.k, edges) for edges in tight_components(h).members]
 
 
 def _bfs(starts: Iterable[tuple], step: Callable[[tuple], list[tuple]],
@@ -198,7 +185,7 @@ def _shift(h: Hypergraph) -> Callable[[tuple], list[tuple]]:
     """Step on ordered edges: drop the first vertex, append each x in
     ascending order for which the shifted window is again an edge."""
     get = window_index(h).get
-    return lambda t: [t[1:] + (x,) for x in get(frozenset(t[1:]), ())]
+    return lambda t: [t[1:] + (x,) for x in get(tuple(sorted(t[1:])), ())]
 
 
 def co_walk_oracle(h: Hypergraph, e: Sequence[int], f: Sequence[int]) -> bool:
@@ -210,8 +197,7 @@ def co_walk_oracle(h: Hypergraph, e: Sequence[int], f: Sequence[int]) -> bool:
     f = tuple(sorted(f))
     if not (h.has_edge(e) and h.has_edge(f)):
         raise WalkError("both endpoints must be edges of the host")
-    fset = frozenset(f)
-    _, hit = _bfs(permutations(e), _shift(h), lambda t: frozenset(t) == fset)
+    _, hit = _bfs(permutations(e), _shift(h), lambda t: tuple(sorted(t)) == f)
     return hit is not None
 
 
@@ -258,7 +244,7 @@ def find_tight_walk(
     def step(state):
         base = state[0][1:]
         res = (state[1] + 1) % k
-        return [(base + (x,), res) for x in get(frozenset(base), ())]
+        return [(base + (x,), res) for x in get(tuple(sorted(base)), ())]
 
     parents, hit = _bfs([(start, 0)], step,
                         lambda st: st[0] == end and (residue is None or st[1] == residue))
@@ -285,7 +271,7 @@ def find_closed_walk_residue(h: Hypergraph, residue: int) -> Optional[TightWalk]
         win, res, steps = state
         base = win[1:]
         res, steps = (res + 1) % k, min(steps + 1, min_steps)
-        return [(base + (x,), res, steps) for x in get(frozenset(base), ())]
+        return [(base + (x,), res, steps) for x in get(tuple(sorted(base)), ())]
 
     for e in h.edges:
         for x in permutations(e):

@@ -298,6 +298,22 @@ class TestInputErrors:
         err = self._expect_input_error(["hamilton", str(path)], capsys)
         assert "n >= k+1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["walk-mod", "--input", "G", "--walk", "G"],
+        ["matching", "--input", "G"],
+        ["vicinity", "--input", "G", "--d", "1", "--gamma", "1/2", "--delta", "1/2"],
+        ["framework", "--input", "G", "--sub", "G", "--alpha", "1/2", "--gamma", "1/2",
+         "--delta", "1/2"],
+        ["perturbed", "--input", "G", "--d", "1", "--alpha", "1/2", "--delta", "1/2"],
+        ["clean", "--input", "G", "--perturbed", "G", "--d", "1", "--beta", "1/2"],
+        ["hamilton", "G"],
+    ])
+    def test_zero_uniformity_rejected(self, argv, tmp_path, capsys):
+        path = tmp_path / "k0.json"
+        path.write_text(json.dumps({"n": 4, "k": 0, "edges": [[]]}))
+        err = self._expect_input_error([str(path) if a == "G" else a for a in argv], capsys)
+        assert "need k >= 1" in err
+
     @pytest.mark.parametrize("obj", [
         {"n": 4, "edges": [[0, 1, 2]]},
         [[0, 1, 2]],

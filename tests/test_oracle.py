@@ -2,6 +2,7 @@ import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,14 @@ class TestHamilton:
         res = find_tight_hamilton(h)
         assert res.outcome != "timeout"
         assert (res.outcome == "found") == naive_has_hamilton(h)
+
+    @pytest.mark.parametrize("n, k", [(n, 1) for n in range(2, 7)] + [(n, 2) for n in range(3, 6)])
+    def test_low_uniformity_agrees_with_naive_oracle(self, n, k):
+        # at k = 1 every window is the empty set, so only the closing
+        # check sees the start vertex's own edge
+        for mask in range(1 << comb(n, k)):
+            h = graph_from_mask(n, k, mask)
+            assert (find_tight_hamilton(h).outcome == "found") == naive_has_hamilton(h), mask
 
     @given(st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
