@@ -15,9 +15,9 @@ from typing import Optional
 from .hypergraph import (
     Hypergraph,
     HypergraphError,
+    _random_edges,
     check_degree_level,
     degree_stats,
-    gen_random,
 )
 
 
@@ -194,17 +194,17 @@ def gen_random_min_degree(n: int, k: int, d: int, delta: Fraction, seed: int) ->
     delta = Fraction(delta)
     if not (0 <= delta <= 1):
         raise HypergraphError("delta must lie in [0,1]")
-    h = gen_random(n, k, delta, seed)
-    if delta == 0:
-        return h
     check_degree_level(n, k, d)
+    binomial = _random_edges(n, k, delta, seed)
+    if delta == 0:
+        return Hypergraph(n, k, binomial)
+    edges = set(binomial)
     # a d-set meets the floor when count / C(n-d, k-d) >= delta
     floor_num, floor_den = delta.numerator * comb(n - d, k - d), delta.denominator
     counts = dict.fromkeys(combinations(range(n), d), 0)
-    for e in h.edges:
+    for e in edges:
         for s in combinations(e, d):
             counts[s] += 1
-    edges = set(h.edges)
     while True:
         worst = min(counts, key=counts.__getitem__)
         if counts[worst] * floor_den >= floor_num:

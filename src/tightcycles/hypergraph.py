@@ -9,14 +9,31 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
 class HypergraphError(ValueError):
     """Raised for malformed hypergraph input (bad vertices, bad edge sizes)."""
+
+
+def _name_bad_edge(n: int, k: int, edges) -> None:
+    """Raise HypergraphError naming the first malformed edge, if any."""
+    for e in edges:
+        if type(e) is not tuple:
+            raise HypergraphError(f"edge {e} is not a tuple")
+        if len(e) != k:
+            raise HypergraphError(f"edge {e} has size {len(e)}, expected {k}")
+        if any(type(v) is not int for v in e):
+            raise HypergraphError(f"edge {e} has a vertex that is not an int")
+        if any(v < 0 or v >= n for v in e):
+            raise HypergraphError(f"edge {e} has a vertex out of range [0, {n})")
+        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+            raise HypergraphError(f"edge {e} is not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -32,19 +49,23 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.k < 0:
+        n, k = self.n, self.k
+        if n < 0 or k < 0:
             raise HypergraphError("n and k must be non-negative")
-        for e in self.edges:
-            if len(e) != self.k:
-                raise HypergraphError(f"edge {e} has size {len(e)}, expected {self.k}")
-            if any(v < 0 or v >= self.n for v in e):
-                raise HypergraphError(f"edge {e} has a vertex out of range [0, {self.n})")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-                raise HypergraphError(f"edge {e} is not strictly increasing")
-        if len(set(self.edges)) != len(self.edges):
+        edges = tuple(self.edges)
+        # C-level passes over the whole tuple; the loop in _name_bad_edge
+        # runs only to word the error once one of them fails
+        if not (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {k}):
+            _name_bad_edge(n, k, edges)
+        flat = list(chain.from_iterable(edges))
+        if flat and not (set(map(type, flat)) <= {int} and min(flat) >= 0 and max(flat) < n
+                         and all(all(map(lt, flat[i::k], flat[i + 1::k])) for i in range(k - 1))):
+            _name_bad_edge(n, k, edges)
+        if len(set(edges)) != len(edges):
             raise HypergraphError("duplicate edges")
-        if list(self.edges) != sorted(self.edges):
-            object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        if not all(map(lt, edges, edges[1:])):
+            edges = tuple(sorted(edges))
+        object.__setattr__(self, "edges", edges)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
         return tuple(sorted(vertices)) in self.degree_counts(self.k)
@@ -228,26 +249,37 @@ def gen_tight_cycle(n: int, k: int) -> Hypergraph:
     return Hypergraph(n, k, tuple(sorted(out)))
 
 
-def _edge_digest(seed: int, edge: tuple[int, ...]) -> int:
-    """Deterministic uniform 64-bit integer keyed by (seed, edge).
+@lru_cache(maxsize=8)
+def _digest_keys(n: int, k: int) -> tuple[bytes, ...]:
+    """The digest key "a,b,c" of every k-subset of {0..n-1}, encoded, in
+    combinations order; the key lists of the last eight (n, k) are kept."""
+    return tuple(",".join(map(str, e)).encode() for e in combinations(range(n), k))
 
-    Counter-based so membership does not depend on iteration order.
-    """
-    key = (str(seed) + ":" + ",".join(map(str, edge))).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+def _random_edges(n: int, k: int, p, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The edge tuple of gen_random(n, k, p, seed), in combinations order."""
+    prob = Fraction(p)
+    if not (0 <= prob <= 1):
+        raise HypergraphError("probability out of [0,1]")
+    den, bound = prob.denominator, prob.numerator << 64
+    prefix = hashlib.blake2b((str(seed) + ":").encode(), digest_size=8)
+    out = []
+    for e, key in zip(combinations(range(n), k), _digest_keys(n, k)):
+        h = prefix.copy()
+        h.update(key)
+        if int.from_bytes(h.digest(), "big") * den < bound:
+            out.append(e)
+    return tuple(out)
 
 
 def gen_random(n: int, k: int, p, seed: int) -> Hypergraph:
     """Binomial random k-graph: each k-set kept independently w.p. p.
 
-    A k-set is kept when its digest u satisfies u / 2^64 < p, decided
-    exactly in integers as u * den(p) < num(p) * 2^64.
+    A k-set's coin u is the blake2b-64 digest of "seed:a,b,c" (its
+    vertices, comma-separated), read as a big-endian integer; the
+    "seed:" prefix is hashed once and its state copied for each k-set.
+    Counter-based, so membership does not depend on iteration order.
+    The k-set is kept when u / 2^64 < p, decided exactly in integers as
+    u * den(p) < num(p) * 2^64.
     """
-    prob = Fraction(p)
-    if not (0 <= prob <= 1):
-        raise HypergraphError("probability out of [0,1]")
-    den, bound = prob.denominator, prob.numerator << 64
-    out = tuple(
-        e for e in combinations(range(n), k) if _edge_digest(seed, e) * den < bound
-    )
-    return Hypergraph(n, k, out)
+    return Hypergraph(n, k, _random_edges(n, k, p, seed))

@@ -1,7 +1,9 @@
 """Reference min-degree repair loop: the oracle for gen_random_min_degree.
 
 This is the library's earlier generator, kept verbatim apart from this
-docstring.  Every round rebuilds and validates the whole Hypergraph,
+docstring and its check_degree_level line: d is checked before the
+delta == 0 return, so an undefined degree level is rejected at every
+delta.  Every round rebuilds and validates the whole Hypergraph,
 recomputes degree_stats from scratch and scans all k-sets for the
 lexicographically least missing edge through the worst d-set, so it is
 slow but obviously right.  The incremental generator must return the
@@ -14,7 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from tightcycles.hypergraph import Hypergraph, HypergraphError, degree_stats, gen_random
+from tightcycles.hypergraph import (
+    Hypergraph,
+    HypergraphError,
+    check_degree_level,
+    degree_stats,
+    gen_random,
+)
 
 
 def gen_random_min_degree(n: int, k: int, d: int, delta: Fraction, seed: int) -> Hypergraph:
@@ -28,6 +36,7 @@ def gen_random_min_degree(n: int, k: int, d: int, delta: Fraction, seed: int) ->
     delta = Fraction(delta)
     if not (0 <= delta <= 1):
         raise HypergraphError("delta must lie in [0,1]")
+    check_degree_level(n, k, d)
     h = gen_random(n, k, delta, seed)
     if delta == 0:
         return h

@@ -153,6 +153,12 @@ class TestRandomMinDegree:
         with pytest.raises(HypergraphError):
             gen_random_min_degree(8, 3, 1, Fraction(3, 2), 0)
 
+    def test_degree_level_checked_at_delta_zero(self):
+        # every delta rejects d = 5 for k = 3, delta = 0 included
+        for delta in (Fraction(0), Fraction(1, 2)):
+            with pytest.raises(HypergraphError, match="degree level 5"):
+                gen_random_min_degree(10, 3, 5, delta, 1)
+
     def test_certificate_is_one_degree_stats_on_the_output(self):
         seen = []
 

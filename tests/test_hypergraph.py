@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slow_degree
@@ -85,6 +85,65 @@ def test_build_matches_checking_builder(case):
             build_hypergraph(n, k, edges)
         return
     assert build_hypergraph(n, k, edges) == want
+
+
+def _stored_or_message(cls, n, k, edges):
+    try:
+        return cls(n, k, edges).edges
+    except HypergraphError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_tuples(draw):
+    """(n, k, edges): a tuple of integer edges, valid or malformed, with
+    wrong sizes, out-of-range and negative vertices, unsorted vertices,
+    unsorted and repeated edges, and k = 0 or n = 0."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 4))
+    if draw(st.integers(0, 9)) == 0:
+        n, k = draw(st.sampled_from([(-1, k), (n, -1)]))
+    size = st.sampled_from([k, k - 1, k + 1]).filter(lambda s: s >= 0)
+    raw = size.flatmap(lambda s: st.tuples(*[st.integers(-1, n + 1)] * s))
+    pool = list(combinations(range(max(n, 0)), max(k, 0)))
+    valid = st.sampled_from(pool) if pool else raw
+    edge = draw(st.sampled_from([valid, valid | raw | valid.map(lambda e: e[::-1])]))
+    edges = draw(st.lists(edge, max_size=8, unique=draw(st.booleans())))
+    order = draw(st.sampled_from([sorted, reversed, list]))
+    return n, k, tuple(order(edges))
+
+
+@given(edge_tuples())
+@example((5, 3, ((2, 3, 4), (0, 1, 2), (1, 2, 4))))
+@example((0, 0, ((),)))
+@settings(max_examples=300, deadline=None)
+def test_constructor_matches_checking_loop(case):
+    # same acceptance, same message, same stored edge order
+    want = _stored_or_message(slow_edges.SlowHypergraph, *case)
+    assert _stored_or_message(Hypergraph, *case) == want
+
+
+class TestConstructorTypes:
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0, True), (False, 1), (0.0, 1)])
+    def test_non_int_vertex(self, edge):
+        with pytest.raises(HypergraphError, match="not an int"):
+            Hypergraph(3, 2, ((0, 2), edge))
+
+    def test_list_of_edges_is_stored_as_tuple(self):
+        h = Hypergraph(3, 2, [(0, 1), (1, 2)])
+        twin = Hypergraph(3, 2, ((0, 1), (1, 2)))
+        assert type(h.edges) is tuple
+        assert h == twin and hash(h) == hash(twin)
+
+    def test_list_edge(self):
+        with pytest.raises(HypergraphError, match=r"edge \[0, 1\] is not a tuple"):
+            Hypergraph(3, 2, ([0, 1],))
+
+    def test_messages_are_one_line(self):
+        for edges in (((0, 1.5),), ([0, 1],), ((0, 3),), ((1, 0),), ((0, 1), (0, 1))):
+            with pytest.raises(HypergraphError) as err:
+                Hypergraph(3, 2, edges)
+            assert "\n" not in str(err.value)
 
 
 class TestShadow:
@@ -222,6 +281,16 @@ def fraction_coin(seed, edge):
 def test_integer_coin_matches_fraction_coin(n, k, p, seed):
     want = tuple(e for e in combinations(range(n), k) if fraction_coin(seed, e) < p)
     assert gen_random(n, k, p, seed).edges == want
+
+
+@given(st.integers(0, 9), st.integers(0, 4),
+       st.sampled_from([0, 1]) | st.fractions(min_value=0, max_value=1, max_denominator=1 << 70),
+       st.integers(-(1 << 80), 1 << 80))
+@settings(max_examples=200, deadline=None)
+def test_gen_random_matches_digest_loop(n, k, p, seed):
+    # the second seed reuses the cached k-sets of (n, k)
+    for s in (seed, ~seed):
+        assert gen_random(n, k, p, s).edges == slow_edges.gen_random(n, k, p, s).edges
 
 
 def test_integer_coin_at_its_boundary():
