@@ -111,6 +111,9 @@ def _require_trials(trials: int) -> None:
 
 
 def _budget(args) -> oracle.SearchBudget:
+    _require(args.budget_nodes >= 0, f"--budget-nodes: need at least 0 nodes (budget-nodes={args.budget_nodes})")
+    # written so that NaN, which compares false, is rejected too
+    _require(args.budget_secs >= 0, f"--budget-secs: need seconds >= 0 (budget-secs={args.budget_secs})")
     return oracle.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
@@ -255,10 +258,11 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_hamilton(args) -> int:
+    budget = _budget(args)
     h = _load(args.input)
     if h.n < h.k + 1:
         raise _InputError(f"{args.input}: a Hamilton cycle needs n >= k+1 (n={h.n}, k={h.k})")
-    result = oracle.find_tight_hamilton(h, _budget(args))
+    result = oracle.find_tight_hamilton(h, budget)
     out = {"outcome": result.outcome, "nodes": result.nodes, "seconds": result.seconds}
     if result.outcome == "exhausted-none":
         out["certificate"] = "component-lp" if result.certificate else "search"

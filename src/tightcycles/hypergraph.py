@@ -158,6 +158,8 @@ def window_index(h: Hypergraph) -> dict[tuple[int, ...], tuple[int, ...]]:
     One pass over the edges; because they are sorted, appending x edge
     by edge already yields ascending tuples.  Built per call and never
     cached on the graph, so a caller holds it only while it searches.
+    It is the index of the walk engine in walks.py; the Hamilton search
+    in oracle.py finds the same successors window by window instead.
     """
     index: dict[tuple[int, ...], list[int]] = {}
     for e in h.edges:

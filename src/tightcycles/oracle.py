@@ -4,6 +4,12 @@ Searches are complete: an exhausted-none outcome is a certificate that no
 object exists, and budget overruns are reported as timeouts, never as
 negative answers.
 
+The cycle search steps from its last k-1 vertices (a window) to the
+vertices that extend them to an edge.  A search on a scan graph visits a
+few dozen nodes, far fewer than the m*k entries of the full window
+index, so the searcher finds a window's successors on its first visit
+and keeps them for the rest of the search.
+
 The Hamilton search also tries one proof of absence that needs no
 search.  The n edges of a tight Hamilton cycle lie in one tight
 component T, and weight 1/k on each of them is a perfect fractional
@@ -29,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, HypergraphError, window_index
+from .hypergraph import Hypergraph, HypergraphError
 from .matching import lp_matching, uniform_weighting
 from .walks import ComponentPartition, TightWalk, WalkError, tight_components, validate_walk
 
@@ -73,6 +79,13 @@ class _Searcher:
     Symmetry is broken by fixing the least cycle vertex first and
     accepting only orientations with second vertex below the last one
     (kills rotations and the reflection).
+
+    `successors(w)` computes a window's ascending successors on its first
+    visit, with n - k + 1 lookups in the level-k edge index, and keeps
+    them for the rest of the search, across every start vertex.  A
+    (k-1)-vertex prefix is viable exactly when its window has a
+    successor; shorter prefixes (k >= 4) are looked up in the degree
+    index.
     """
 
     def __init__(self, h: Hypergraph, budget: SearchBudget, certify: bool = False):
@@ -80,7 +93,8 @@ class _Searcher:
         self.budget = budget
         self.nodes = 0
         self.start_time = time.monotonic()
-        self.successors = window_index(h).get
+        self.edge_set = h.degree_counts(h.k)
+        self.known: dict[tuple[int, ...], tuple[int, ...]] = {}
         # With certify, the tight components are computed when the node
         # count reaches m; two or more try the component-LP certificate
         # at once, one defers it to n*m nodes, the size of its LP tableau.
@@ -90,6 +104,21 @@ class _Searcher:
         self.prove_at = h.n * m if certify else None
         self.partition: Optional[ComponentPartition] = None
         self.certificate: Optional[NoHamiltonCertificate] = None
+
+    def successors(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        """The ascending x with w + x an edge, for an increasing
+        (k-1)-tuple w."""
+        got = self.known.get(w)
+        if got is None:
+            # one lookup per vertex outside w: x enters w at its place,
+            # so keys stay increasing and x comes out ascending
+            edges, out, lo = self.edge_set, [], 0
+            for i, hi in enumerate(w + (self.h.n,)):
+                head, tail = w[:i], w[i:]
+                out += [x for x in range(lo, hi) if head + (x,) + tail in edges]
+                lo = hi + 1
+            got = self.known[w] = tuple(out)
+        return got
 
     def _tick(self):
         self.nodes += 1
@@ -128,7 +157,10 @@ class _Searcher:
         above = range(start + 1, self.h.n)
 
         def is_prefix(vs: list[int]) -> bool:
-            return tuple(sorted(vs)) in self.h.degree_counts(len(vs))
+            key = tuple(sorted(vs))
+            if len(vs) == k - 1:
+                return bool(successors(key))
+            return key in self.h.degree_counts(len(vs))
 
         def close_ok() -> bool:
             if seq[1] > seq[-1]:
@@ -146,7 +178,7 @@ class _Searcher:
             if p == length:
                 return tuple(seq) if close_ok() else None
             if p >= k - 1:
-                cands = successors(tuple(sorted(seq[p - k + 1:])), ())
+                cands = successors(tuple(sorted(seq[p - k + 1:])))
             else:
                 cands = above
             for x in cands:

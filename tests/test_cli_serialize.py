@@ -366,6 +366,27 @@ class TestInputErrors:
         assert says in self._expect_input_error(argv, capsys)
 
     @pytest.mark.parametrize("argv, says", [
+        (["hamilton", "K6", "--budget-nodes", "-1"], "--budget-nodes"),
+        (["hamilton", "K6", "--budget-secs", "-1"], "--budget-secs"),
+        (["hamilton", "K6", "--budget-secs", "nan"], "--budget-secs"),
+        (["hamilton", "K6", "--budget-secs=-inf"], "--budget-secs"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "8", "--grid", "1/2", "--trials", "1",
+          "--budget-nodes", "-1"], "--budget-nodes"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "8", "--grid", "1/2", "--trials", "1",
+          "--budget-secs", "nan"], "--budget-secs"),
+        (["scan-threshold", "--k", "3", "--d", "1", "--n", "8", "--grid", "1/2", "--trials", "1",
+          "--budget-secs", "-0.5"], "--budget-secs"),
+    ])
+    def test_budget_outside_range(self, argv, says, k6_path, capsys):
+        # a negative node budget read as an instant timeout (exit 4), and
+        # a NaN time budget silently lifted the time limit
+        argv = [k6_path if a == "K6" else a for a in argv]
+        assert says in self._expect_input_error(argv, capsys)
+
+    def test_zero_budget_is_accepted(self, k6_path, capsys):
+        assert main(["hamilton", k6_path, "--budget-nodes", "0", "--budget-secs", "0"]) == 4
+
+    @pytest.mark.parametrize("argv, says", [
         (["vicinity", "--d", "7", "--gamma", "1/10", "--delta", "1/2"], "1..k-1"),
         (["vicinity", "--d", "1", "--gamma", "1", "--delta", "1/2"], "--gamma: 1/1"),
         (["vicinity", "--d", "1", "--gamma", "1/10", "--delta", "0"], "--delta: 0/1"),

@@ -18,6 +18,7 @@ from tightcycles.hypergraph import (
     gen_complete,
     gen_random,
     gen_tight_cycle,
+    window_index,
 )
 from tightcycles.oracle import (
     AbsorbingGadget,
@@ -327,6 +328,28 @@ class TestNoHamiltonCertificate:
     def test_integer_boundaries_are_accepted(self, cover):
         h, cert = self._real()
         verify_no_hamilton_certificate(h, replace(cert, covers=(cert.covers[0], cover)))
+
+
+class TestSuccessorsOnDemand:
+    @given(st.integers(1, 4), st.integers(0, 9), st.integers(0, 10**6),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    @settings(max_examples=30, deadline=None)
+    def test_match_the_full_index(self, k, n, seed, p):
+        h = random_graph(n, k, seed, p)
+        truth = window_index(h)
+        searcher = oracle._Searcher(h, SearchBudget())
+        windows = list(combinations(range(n), k - 1))
+        seeded_rng("windows", seed).shuffle(windows)
+        # the second pass reads what the first one kept
+        for w in windows + windows:
+            assert searcher.successors(w) == truth.get(w, ()), w
+
+    @pytest.mark.parametrize("h, levels", [(random_graph(10, 3, 1), [3]), (random_graph(9, 4, 3), [2, 4])])
+    def test_prefix_test_reads_no_window_level(self, h, levels):
+        # a (k-1)-prefix is tested by its successors: only the edge
+        # lookup and, for k >= 4, the shorter prefix levels are built
+        assert find_tight_hamilton(h).outcome == "found"
+        assert sorted(h.__dict__["_degree_counts_cache"]) == levels
 
 
 class TestShortCycles:
